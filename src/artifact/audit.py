@@ -48,9 +48,8 @@ from collections import namedtuple
 import numpy as np
 
 from .curvature import curvature_data, phi_field
-from .dec import dirichlet_laplacian, hodge_laplacian, hodge_star
+from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
-from .mesh import surface_measures
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -114,7 +113,6 @@ def whitney_face_mass(mesh):
     """
     grads = _barycentric_gradients(mesh)
     gram = np.einsum("fad,fbd->fab", grads, grads)
-    fa, _, _ = surface_measures(mesh)
 
     # local corner index (0, 1, 2) of each edge endpoint within its face
     tails = mesh.edges[mesh.face_edges, 0]
@@ -136,7 +134,7 @@ def whitney_face_mass(mesh):
                     - (1.0 + (i == l)) * gram[rows, j, k]
                     - (1.0 + (j == k)) * gram[rows, i, l]
                     + (1.0 + (j == l)) * gram[rows, i, k])
-            local[:, s, t] = fa / 12.0 * term
+            local[:, s, t] = mesh.face_areas / 12.0 * term
     return local
 
 
@@ -150,21 +148,19 @@ def reconstruct_density(mesh, p, vec, face_mass=None):
     is returned as ``factor`` and must lie within DENSITY_FACTOR_RANGE.
     """
     vec = np.asarray(vec, dtype=float)
+    va, fa = mesh.vertex_areas, mesh.face_areas
     if p == 0:
-        _, va, _ = surface_measures(mesh)
         raw = vec ** 2
         factor = float(va @ raw)
         values, weights, domain = raw, va, "vertex"
     elif p == 1:
         if face_mass is None:
             face_mass = whitney_face_mass(mesh)
-        fa, _, _ = surface_measures(mesh)
         x = vec[mesh.face_edges]
         per_face = np.einsum("fs,fst,ft->f", x, face_mass, x)
         factor = float(per_face.sum())
         values, weights, domain = per_face / fa, fa, "face"
     elif p == 2:
-        fa, _, _ = surface_measures(mesh)
         raw = (vec / fa) ** 2
         factor = float(fa @ raw)
         values, weights, domain = raw, fa, "face"
@@ -271,7 +267,7 @@ def audit_closed(mesh, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0,
                              f"got {len(spectra[p].eigenvalues)}")
 
     curv = curvature_data(mesh)
-    _, va, vol = surface_measures(mesh)
+    va, vol = mesh.vertex_areas, mesh.total_area
     int_h2 = float(va @ curv.H_norm2)
     int_mix = {p: float(va @ ((M_DIM - p) * curv.H_norm2 + (p - 1) * curv.h_norm2))
                for p in (0, 1, 2)}

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import (AUDIT_TOL, audit_closed, audit_dirichlet, closed_spectra,
-                    discretization_allowance, emit_report)
+from .audit import (AUDIT_TOL, M_DIM, audit_closed, audit_dirichlet,
+                    closed_spectra, discretization_allowance, emit_report)
 from .commutator import run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
@@ -34,8 +34,6 @@ from .mesh import generate, load_mesh, save_mesh
 # degenerate-eigenspace coupling allowed after adaptation.
 LEMMA_TOL = 1e-9
 COUPLING_TOL = 1e-10
-
-M_DIM = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,6 +125,16 @@ def _write(text, path):
             fh.write(text)
 
 
+def _report_failures(records):
+    """Print one AUDIT FAILURE line per failed record; return the exit status."""
+    failures = [r for r in records if not r["pass"]]
+    for rec in failures:
+        degree = "" if rec["p"] is None else f" p={rec['p']}"
+        print(f"AUDIT FAILURE {rec['ineq']}{degree} j={rec['j']} "
+              f"lhs={rec['lhs']!r} rhs={rec['rhs']!r}", file=sys.stderr)
+    return 2 if failures else 0
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -195,11 +203,7 @@ def _cmd_audit(args):
 
     text = emit_report(records, args.mesh, level, spectra=spectra, fmt=args.fmt)
     _write(text, args.out)
-    failures = [r for r in records if not r["pass"]]
-    for rec in failures:
-        print(f"AUDIT FAILURE {rec['ineq']} p={rec['p']} j={rec['j']} "
-              f"lhs={rec['lhs']!r} rhs={rec['rhs']!r}", file=sys.stderr)
-    return 2 if failures else 0
+    return _report_failures(records)
 
 
 def _cmd_heisenberg(args):
@@ -214,11 +218,7 @@ def _cmd_heisenberg(args):
     text = emit_report(records, name, args.grid,
                        spectra={"kohn": result}, fmt=args.fmt)
     _write(text, args.out)
-    failures = [r for r in records if not r["pass"]]
-    for rec in failures:
-        print(f"AUDIT FAILURE {rec['ineq']} j={rec['j']} "
-              f"lhs={rec['lhs']!r} rhs={rec['rhs']!r}", file=sys.stderr)
-    return 2 if failures else 0
+    return _report_failures(records)
 
 
 def _cmd_lemma_check(args):

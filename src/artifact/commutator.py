@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .eigensolve import cluster_slices
+
 __all__ = ["CommutatorError", "lp_identity_residual",
            "degenerate_orthogonality_check", "run_trials"]
 
@@ -40,28 +42,23 @@ def _check_symmetric(mat, name):
     return mat
 
 
-def _degenerate_blocks(vals):
-    """Contiguous index ranges of eigenvalues closer than the degeneracy gap."""
-    spread = vals[-1] - vals[0]
-    delta = DEGENERACY_REL * (spread if spread > 0 else 1.0)
-    blocks, start = [], 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > delta:
-            blocks.append((start, i))
-            start = i
-    return blocks, delta
+def _rotate_blocks(vecs, g_mat, blocks):
+    """Rotate each degenerate block of ``vecs`` in place to diagonalize G."""
+    for cl in blocks:
+        if cl.stop - cl.start > 1:
+            block = vecs[:, cl]
+            comp = block.T @ g_mat @ block
+            _, rot = np.linalg.eigh(0.5 * (comp + comp.T))
+            vecs[:, cl] = block @ rot
 
 
 def _adapted_eigh(l_mat, g_mat):
     """Eigendecomposition of L with degenerate spaces rotated to diagonalize G."""
     vals, vecs = np.linalg.eigh(l_mat)
-    blocks, delta = _degenerate_blocks(vals)
-    for lo, hi in blocks:
-        if hi - lo > 1:
-            block = vecs[:, lo:hi]
-            comp = block.T @ g_mat @ block
-            _, rot = np.linalg.eigh(0.5 * (comp + comp.T))
-            vecs[:, lo:hi] = block @ rot
+    spread = vals[-1] - vals[0]
+    delta = DEGENERACY_REL * (spread if spread > 0 else 1.0)
+    blocks = cluster_slices(vals, delta)
+    _rotate_blocks(vecs, g_mat, blocks)
     return vals, vecs, blocks, delta
 
 
@@ -97,12 +94,7 @@ def lp_identity_residual(l_mat, g_mat):
                 f"{num_tol:.3e} after eigenspace adaptation")
         # Re-adapt once from the current basis: recomputing the compression
         # of G against the already-rotated block polishes roundoff drift.
-        for lo, hi in blocks:
-            if hi - lo > 1:
-                block = vecs[:, lo:hi]
-                comp = block.T @ g_mat @ block
-                _, rot = np.linalg.eigh(0.5 * (comp + comp.T))
-                vecs[:, lo:hi] = block @ rot
+        _rotate_blocks(vecs, g_mat, blocks)
 
     weights = np.where(degenerate, 0.0, b_mat ** 2 / np.where(degenerate, 1.0, gaps))
     lhs = weights.sum(axis=1)
@@ -125,9 +117,9 @@ def degenerate_orthogonality_check(l_mat, g_mat):
     vals, vecs, blocks, _ = _adapted_eigh(l_mat, g_mat)
     comm = l_mat @ g_mat - g_mat @ l_mat
     worst = 0.0
-    for lo, hi in blocks:
-        if hi - lo > 1:
-            block = vecs[:, lo:hi]
+    for cl in blocks:
+        if cl.stop - cl.start > 1:
+            block = vecs[:, cl]
             cross = block.T @ comm @ block
             np.fill_diagonal(cross, 0.0)
             worst = max(worst, float(np.abs(cross).max()))

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-
-from .dec import exterior_derivative, hodge_star
 
 __all__ = ["CurvatureData", "PhiField", "mean_curvature_vector",
            "gaussian_curvature", "second_fundamental_norm",
@@ -74,11 +71,7 @@ def mean_curvature_vector(mesh):
     with the positive-spectrum sign convention.  Values at boundary
     vertices are returned but are not meaningful.
     """
-    d0 = exterior_derivative(mesh, 0)
-    s1 = hodge_star(mesh, 1)
-    s0 = hodge_star(mesh, 0)
-    a = d0.T @ sp.diags(s1.diag) @ d0
-    return (a @ mesh.vertices) / s0.diag[:, None]
+    return (mesh.dec.stiffness0 @ mesh.vertices) / mesh.dec.star0.diag[:, None]
 
 
 def gaussian_curvature(mesh):
@@ -91,8 +84,7 @@ def gaussian_curvature(mesh):
         c = np.einsum("ij,ij->i", u1, u2) / np.sqrt(
             np.einsum("ij,ij->i", u1, u1) * np.einsum("ij,ij->i", u2, u2))
         np.add.at(angles, mesh.faces[:, corner], np.arccos(np.clip(c, -1.0, 1.0)))
-    s0 = hodge_star(mesh, 0)
-    return (2.0 * np.pi - angles) / s0.diag
+    return (2.0 * np.pi - angles) / mesh.dec.star0.diag
 
 
 def second_fundamental_norm(H_norm2, K):

@@ -5,6 +5,9 @@ diagonal (barycentric lumped areas for 0-forms, circumcentric
 dual/primal length ratios for 1-forms, inverse face areas for 2-forms).
 Laplacians are assembled in weak form as generalized pencils
 A x = lambda M x with the geometer's sign convention (spectra >= 0).
+
+Each mesh owns one :class:`DecComplex` (``mesh.dec``), built on first
+use; every pencil and curvature field reads its operators from there.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from .mesh import MeshError, surface_measures
+from .mesh import MeshError
 
 __all__ = [
     "HodgeStar",
+    "DecComplex",
     "EigenproblemPair",
     "exterior_derivative",
     "hodge_star",
@@ -58,10 +62,6 @@ class EigenproblemPair:
     @property
     def dim(self):
         return self.stiffness.shape[0]
-
-    @property
-    def mass(self):
-        return sp.diags(self.mass_diag, format="csr")
 
 
 def assert_symmetric(a, tol=SYMMETRY_TOL, what="operator"):
@@ -108,19 +108,14 @@ def _cotangent_weights(mesh):
     """
     v = mesh.vertices[mesh.faces]
     w = np.zeros(mesh.num_edges)
-    fa = None
     for corner in range(3):
         p0 = v[:, corner]
         u1 = v[:, (corner + 1) % 3] - p0
         u2 = v[:, (corner + 2) % 3] - p0
         dot = np.einsum("ij,ij->i", u1, u2)
-        if fa is None:
-            g11 = np.einsum("ij,ij->i", u1, u1)
-            g22 = np.einsum("ij,ij->i", u2, u2)
-            fa = 0.5 * np.sqrt(np.maximum(g11 * g22 - dot * dot, 0.0))
         # corner angle is opposite the face side not touching it
         opposite = mesh.face_edges[:, (corner + 1) % 3]
-        np.add.at(w, opposite, dot / (4.0 * fa))
+        np.add.at(w, opposite, dot / (4.0 * mesh.face_areas))
     return w
 
 
@@ -133,11 +128,10 @@ def hodge_star(mesh, p):
     the boundary of, its triangle) are clamped to
     eps = 1e-8 * mean positive ratio, and the clamp count is reported.
     """
-    fa, va, _ = surface_measures(mesh)
     if p == 0:
-        return HodgeStar(va, 0)
+        return HodgeStar(mesh.vertex_areas, 0)
     if p == 2:
-        return HodgeStar(1.0 / fa, 0)
+        return HodgeStar(1.0 / mesh.face_areas, 0)
     if p == 1:
         w = _cotangent_weights(mesh)
         eps = 1e-8 * float(np.maximum(w, 0.0).mean())
@@ -145,6 +139,35 @@ def hodge_star(mesh, p):
         w = np.where(bad, eps, w)
         return HodgeStar(w, int(bad.sum()))
     raise ValueError(f"hodge star defined for p in {{0, 1, 2}}, got {p}")
+
+
+@dataclass(frozen=True)
+class DecComplex:
+    """d0, d1, the three Hodge stars and the unsymmetrized 0-form stiffness
+    d0^T star_1 d0 of one mesh, read as ``mesh.dec``.  Every array is
+    read-only, so all consumers share one copy.
+    """
+
+    d0: sp.csr_matrix
+    d1: sp.csr_matrix
+    star0: HodgeStar
+    star1: HodgeStar
+    star2: HodgeStar
+    stiffness0: sp.spmatrix
+
+    @classmethod
+    def of(cls, mesh):
+        """Assemble the complex; ``mesh.dec`` calls this once per mesh."""
+        d0 = exterior_derivative(mesh, 0)
+        d1 = exterior_derivative(mesh, 1)
+        s0, s1, s2 = (hodge_star(mesh, p) for p in (0, 1, 2))
+        stiffness0 = d0.T @ sp.diags(s1.diag) @ d0
+        for m in (d0, d1, stiffness0):
+            for a in (m.data, m.indices, m.indptr):
+                a.setflags(write=False)
+        for s in (s0, s1, s2):
+            s.diag.setflags(write=False)
+        return cls(d0, d1, s0, s1, s2, stiffness0)
 
 
 def hodge_laplacian(mesh, p):
@@ -160,27 +183,23 @@ def hodge_laplacian(mesh, p):
         raise MeshError("hodge_laplacian needs a closed mesh; use dirichlet_laplacian")
     if p not in (0, 1, 2):
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
-    s0 = hodge_star(mesh, 0)
-    s1 = hodge_star(mesh, 1)
-    s2 = hodge_star(mesh, 2)
-    d0 = exterior_derivative(mesh, 0)
-    d1 = exterior_derivative(mesh, 1)
-    info = {"star1_clamped": s1.clamped}
+    c = mesh.dec
+    info = {"star1_clamped": c.star1.clamped}
     if p == 0:
-        a = d0.T @ sp.diags(s1.diag) @ d0
-        mass = s0.diag
+        a = c.stiffness0
+        mass = c.star0.diag
         n = mesh.num_vertices
     elif p == 1:
-        up = d1.T @ sp.diags(s2.diag) @ d1
-        half = sp.diags(s1.diag) @ d0
-        down = half @ sp.diags(1.0 / s0.diag) @ half.T
+        up = c.d1.T @ sp.diags(c.star2.diag) @ c.d1
+        half = sp.diags(c.star1.diag) @ c.d0
+        down = half @ sp.diags(1.0 / c.star0.diag) @ half.T
         a = up + down
-        mass = s1.diag
+        mass = c.star1.diag
         n = mesh.num_edges
     else:
-        half = sp.diags(s2.diag) @ d1
-        a = half @ sp.diags(1.0 / s1.diag) @ half.T
-        mass = s2.diag
+        half = sp.diags(c.star2.diag) @ c.d1
+        a = half @ sp.diags(1.0 / c.star1.diag) @ half.T
+        mass = c.star2.diag
         n = mesh.num_faces
     a = _symmetrized(a)
     assert_symmetric(a, what=f"hodge laplacian p={p}")
@@ -202,18 +221,15 @@ def dirichlet_laplacian(mesh, potential=None):
         raise ValueError(f"potential must have one value per vertex, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("potential contains non-finite values")
-    s0 = hodge_star(mesh, 0)
-    s1 = hodge_star(mesh, 1)
-    d0 = exterior_derivative(mesh, 0)
+    c = mesh.dec
     interior = np.nonzero(~mesh.boundary_vertex)[0]
-    a_full = d0.T @ sp.diags(s1.diag) @ d0
-    a = a_full[interior][:, interior]
-    mass = s0.diag[interior]
+    a = c.stiffness0[interior][:, interior]
+    mass = c.star0.diag[interior]
     a = a + sp.diags(mass * q[interior])
     a = _symmetrized(a)
     assert_symmetric(a, what="dirichlet laplacian")
     return EigenproblemPair(a.tocsr(), mass, 0, True, interior,
-                            {"star1_clamped": s1.clamped})
+                            {"star1_clamped": c.star1.clamped})
 
 
 def export_matrix_market(a, path):

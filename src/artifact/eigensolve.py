@@ -98,16 +98,10 @@ def _zero_count(vals):
     return int((vals < threshold).sum())
 
 
-def _cluster_slices(vals):
-    """Split indices into clusters of relative gap < 1e-8."""
-    scale = max(float(np.abs(vals).max()), float(vals[-1] - vals[0]), 1e-300)
-    out, start = [], 0
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > 1e-8 * scale:
-            out.append(slice(start, i))
-            start = i
-    out.append(slice(start, len(vals)))
-    return out
+def cluster_slices(vals, gap):
+    """Split ascending ``vals`` into runs of neighbours at most ``gap`` apart."""
+    cuts = [0, *(np.nonzero(np.diff(vals) > gap)[0] + 1).tolist(), len(vals)]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
@@ -239,7 +233,8 @@ def _certify_orthonormal(vals, vecs, m_diag):
     if dev > 1e-8:
         # Re-orthonormalize inside clusters (ARPACK can return slightly
         # skewed bases for tight clusters), then recheck.
-        for cl in _cluster_slices(vals):
+        scale = max(float(np.abs(vals).max()), float(vals[-1] - vals[0]), 1e-300)
+        for cl in cluster_slices(vals, 1e-8 * scale):
             if cl.stop - cl.start < 2:
                 continue
             block = vecs[:, cl]

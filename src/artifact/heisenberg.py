@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .audit import AUDIT_TOL
 from .eigensolve import smallest_eigenpairs
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "reflect",
            "build_kohn_laplacian", "kohn_spectrum", "audit_kohn"]
-
-AUDIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,9 @@ class HeisenbergGrid:
     ``axes`` holds one strictly increasing coordinate array per axis in
     the order x_1..x_n, y_1..y_n, t; spacing is uniform along each axis.
     ``g`` is the node count per axis including the two boundary nodes,
-    so each interior array has g - 2 entries.
+    so each interior array has g - 2 entries.  ``g`` must be even: on an
+    odd grid the centered differences leave an exact checkerboard null
+    mode, so the discrete operator is singular.
     """
 
     n: int
@@ -57,6 +58,9 @@ class HeisenbergGrid:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if self.g < 16:
             raise ValueError(f"need at least 16 nodes per axis, got g={self.g}")
+        if self.g % 2:
+            raise ValueError(f"need an even node count per axis, got g={self.g}: odd grids "
+                             "leave an exact checkerboard null mode (a spurious zero eigenvalue)")
         if not (self.a > 0 and self.T > 0):
             raise ValueError(f"box half-widths must be positive, got a={self.a}, T={self.T}")
         if len(self.axes) != 2 * self.n + 1:

@@ -10,6 +10,8 @@ characteristics.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -54,6 +56,9 @@ class TriangleMesh:
         Edge index of each face side (v0,v1), (v1,v2), (v2,v0).
     face_edge_signs : (F, 3) ndarray of int
         +1 where the face traverses the edge from min to max vertex.
+    face_areas, vertex_areas : (F,) and (V,) ndarrays of float
+        Triangle areas and barycentric lumped vertex areas (one third of
+        every incident face area); ``total_area`` is their common sum.
     """
 
     def __init__(self, vertices, faces):
@@ -71,8 +76,8 @@ class TriangleMesh:
         self._build_edges()
         self._validate_geometry()
         self._validate_topology()
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
+        for a in (self.vertices, self.faces, self.face_areas, self.vertex_areas):
+            a.setflags(write=False)
 
     # -- derived sizes ---------------------------------------------------
 
@@ -137,7 +142,6 @@ class TriangleMesh:
             i, j = directed[dup]
             raise MeshError(f"orientation error: edge ({i}, {j}) traversed twice in the same direction")
         self.edges = edges
-        self.edge_face_count = counts
         # face_edges[f, s] = edge id of side s; sign +1 when traversal is (min, max)
         self.face_edges = inverse.reshape(3, -1).T.copy()
         self.face_edge_signs = np.where(directed[:, 0] < directed[:, 1], 1, -1).reshape(3, -1).T.copy()
@@ -145,17 +149,27 @@ class TriangleMesh:
         flag = np.zeros(self.num_vertices, dtype=bool)
         flag[boundary_edges.ravel()] = True
         self.boundary_vertex = flag
-        for a in (self.edges, self.edge_face_count, self.face_edges,
-                  self.face_edge_signs, self.boundary_vertex):
+        for a in (self.edges, self.face_edges, self.face_edge_signs,
+                  self.boundary_vertex):
             a.setflags(write=False)
 
     def _validate_geometry(self):
-        areas = _face_areas(self.vertices, self.faces)
+        # Triangle areas in any ambient dimension via the Gram determinant.
+        e1 = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
+        e2 = self.vertices[self.faces[:, 2]] - self.vertices[self.faces[:, 0]]
+        g11 = np.einsum("ij,ij->i", e1, e1)
+        g22 = np.einsum("ij,ij->i", e2, e2)
+        g12 = np.einsum("ij,ij->i", e1, e2)
+        areas = 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         diag2 = float(span @ span)
         bad = areas <= _DEGENERACY_REL * diag2
         if bad.any():
             raise MeshError(f"degenerate face {int(np.nonzero(bad)[0][0])} (area below threshold)")
+        self.face_areas = areas
+        self.vertex_areas = np.zeros(self.num_vertices)
+        np.add.at(self.vertex_areas, self.faces.ravel(), np.repeat(areas / 3.0, 3))
+        self.total_area = float(areas.sum())
 
     def _validate_topology(self):
         if not self.is_closed:
@@ -173,11 +187,13 @@ class TriangleMesh:
         if ((chi % 2 != 0) | (chi > 2)).any():
             raise MeshError(f"closed mesh component with invalid Euler characteristic {chi.tolist()}")
 
-    # -- conveniences ----------------------------------------------------
+    # -- derived operators -----------------------------------------------
 
-    def edge_vectors(self):
-        """Vertex-difference vector head - tail for every edge."""
-        return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+    @cached_property
+    def dec(self):
+        """The mesh's discrete exterior calculus complex, assembled on first use."""
+        from .dec import DecComplex
+        return DecComplex.of(self)
 
     def __repr__(self):
         kind = "closed" if self.is_closed else "bounded"
@@ -185,21 +201,12 @@ class TriangleMesh:
                 f"F={self.num_faces}, R^{self.ambient_dim}, {kind})")
 
 
-def _face_areas(vertices, faces):
-    """Triangle areas in any ambient dimension via the Gram determinant."""
-    e1 = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-    e2 = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    g11 = np.einsum("ij,ij->i", e1, e1)
-    g22 = np.einsum("ij,ij->i", e2, e2)
-    g12 = np.einsum("ij,ij->i", e1, e2)
-    return 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))
-
-
 def surface_measures(mesh):
     """Face areas, barycentric lumped vertex areas, and total volume.
 
     Each vertex receives one third of every incident face area, so the
     vertex areas and face areas both sum to the total surface measure.
+    The arrays are the mesh's own read-only attributes.
 
     Returns
     -------
@@ -207,10 +214,7 @@ def surface_measures(mesh):
     vertex_areas : (V,) ndarray
     total : float
     """
-    fa = _face_areas(mesh.vertices, mesh.faces)
-    va = np.zeros(mesh.num_vertices)
-    np.add.at(va, mesh.faces.ravel(), np.repeat(fa / 3.0, 3))
-    return fa, va, float(fa.sum())
+    return mesh.face_areas, mesh.vertex_areas, mesh.total_area
 
 
 # -- generation ----------------------------------------------------------

@@ -138,7 +138,7 @@ def test_audit_usage_errors():
     assert exc.value.code == 1
 
 
-def test_heisenberg_command(tmp_path):
+def test_heisenberg_command(tmp_path, capsys):
     out = tmp_path / "heis.json"
     code = main(["heisenberg", "--n", "1", "--grid", "18", "-k", "8",
                  "--j-max", "5", "--out", str(out)])
@@ -149,6 +149,10 @@ def test_heisenberg_command(tmp_path):
     assert all(r["ineq"] == "heisenberg-sum" for r in payload["records"])
     assert payload["spectra"]["kohn"]["zero_count"] == 0
     assert main(["heisenberg", "--n", "3", "--grid", "16"]) == 1
+    capsys.readouterr()
+    # odd grids are refused up front, not reported as an audit failure
+    assert main(["heisenberg", "--n", "1", "--grid", "19"]) == 1
+    assert "even node count" in capsys.readouterr().err
 
 
 def test_lemma_check_payload(tmp_path):

@@ -4,6 +4,8 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
+import artifact.dec
+from artifact.audit import audit_closed, closed_spectra
 from artifact.dec import (EigenproblemPair, assert_symmetric,
                           dirichlet_laplacian, exterior_derivative,
                           export_matrix_market, hodge_laplacian, hodge_star)
@@ -72,6 +74,24 @@ def test_star1_positive_everywhere(sphere3, torus16):
         assert (s1.diag > 0).all()
     assert hodge_star(sphere3, 1).clamped == 0
     assert hodge_star(torus16, 1).clamped == torus16.num_vertices  # one diagonal per cell
+
+
+def test_complex_assembled_once_per_mesh(monkeypatch):
+    """Every pencil, curvature field and density of one mesh reads one
+    shared, read-only DEC complex: the cotangent weights are computed once."""
+    calls = []
+    weights = artifact.dec._cotangent_weights
+    monkeypatch.setattr(artifact.dec, "_cotangent_weights",
+                        lambda mesh: calls.append(mesh) or weights(mesh))
+    mesh = icosphere(1.0, 2)  # fresh, so no earlier test has built its complex
+    spectra = closed_spectra(mesh, k=4)
+    audit_closed(mesh, j_max=2, spectra=spectra)
+    assert len(calls) == 1 and calls[0] is mesh
+    c = mesh.dec
+    for array in (c.d0.data, c.d1.indices, c.stiffness0.data, c.star0.diag,
+                  c.star1.diag, c.star2.diag, mesh.face_areas):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_laplacian_pairs_shape_and_symmetry(sphere2):

@@ -44,6 +44,8 @@ def test_grid_validation():
         heisenberg_grid(0, 1.0, 1.0, 16)
     with pytest.raises(ValueError):
         heisenberg_grid(1, 1.0, 1.0, 15)
+    with pytest.raises(ValueError, match="even"):
+        heisenberg_grid(1, 1.0, 1.0, 17)  # checkerboard null mode
     with pytest.raises(ValueError):
         heisenberg_grid(1, -1.0, 1.0, 16)
     ax = np.linspace(-1, 1, 16)[1:-1]
