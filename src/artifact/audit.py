@@ -357,18 +357,21 @@ def audit_closed(mesh, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0,
 
 def audit_dirichlet(mesh, potential=None, ambient="flat", j_max=15,
                     tol_audit=AUDIT_TOL, allowance=0.0, spectrum=None,
-                    tol=1e-8, seed=42):
+                    tol=1e-8, seed=42, pair=None):
     """Run the Dirichlet-with-potential catalog; returns (records, spectrum).
 
     ``ambient`` is "flat" for domains immersed in a plane (enables the
     flat zero-potential chain) or "sphere" for domains in a unit round
-    sphere (enables the symmetric-space form).
+    sphere (enables the symmetric-space form).  ``pair`` is the pencil
+    ``dirichlet_laplacian(mesh, potential)`` if the caller has already
+    assembled it.
     """
     if ambient not in ("flat", "sphere"):
         raise ValueError(f'ambient must be "flat" or "sphere", got {ambient!r}')
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
-    pair = dirichlet_laplacian(mesh, potential)
+    if pair is None:
+        pair = dirichlet_laplacian(mesh, potential)
     k = j_max + M_DIM
     if spectrum is None:
         spectrum = solve_pair(pair, k=k, tol=tol, seed=seed)

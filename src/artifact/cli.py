@@ -198,7 +198,8 @@ def _cmd_audit(args):
         allowance = discretization_allowance({0: fine_spec}, {0: coarse_spec})
         records, spectrum = audit_dirichlet(
             mesh, potential=q, ambient=ambient, j_max=args.j_max,
-            tol_audit=args.tol_audit, allowance=allowance, spectrum=fine_spec)
+            tol_audit=args.tol_audit, allowance=allowance, spectrum=fine_spec,
+            pair=fine_pair)
         spectra = {0: spectrum}
 
     text = emit_report(records, args.mesh, level, spectra=spectra, fmt=args.fmt)

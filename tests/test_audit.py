@@ -9,7 +9,7 @@ from artifact.audit import (AuditError, audit_closed, audit_dirichlet,
                             closed_spectra, discretization_allowance,
                             emit_report, integrate_against,
                             reconstruct_density, whitney_face_mass)
-from artifact.dec import hodge_laplacian
+from artifact.dec import dirichlet_laplacian, hodge_laplacian
 from artifact.eigensolve import solve_pair
 from artifact.mesh import MeshError, TriangleMesh
 
@@ -191,6 +191,20 @@ def test_audit_dirichlet_potential_drops_flat_chain(square16):
     assert "payne-polya-weinberger" not in ids
     assert ids == {"dirichlet-potential-integral", "dirichlet-potential-sup"}
     assert all(r["pass"] for r in records)
+
+
+def test_audit_dirichlet_reuses_given_pencil(square16, monkeypatch):
+    q = np.full(square16.num_vertices, 0.5)
+    expected, _ = audit_dirichlet(square16, potential=q, ambient="flat", j_max=4)
+    pair = dirichlet_laplacian(square16, q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pencil assembled again")
+
+    monkeypatch.setattr("artifact.audit.dirichlet_laplacian", refuse)
+    records, _ = audit_dirichlet(square16, potential=q, ambient="flat", j_max=4,
+                                 pair=pair)
+    assert records == expected
 
 
 def test_audit_dirichlet_sphere_cap_sup_agreement(cap3):

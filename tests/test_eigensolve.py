@@ -116,6 +116,19 @@ def test_degenerate_cluster_orthonormal(sphere2):
     assert np.ptp(res.eigenvalues[1:4]) < 0.02 * res.eigenvalues[1]
 
 
+def test_deeper_krylov_retry_recovers_missed_member(torus16):
+    # At seed 1 (and 4) the first Lanczos pass on this pencil misses a
+    # member of a cluster at 2 or 4; the inertia count catches it and the
+    # deeper retry recovers it.  Seed 0 certifies on the first pass.
+    pair = hodge_laplacian(torus16, 1)
+    first = solve_pair(pair, k=12, seed=0)
+    retried = solve_pair(pair, k=12, seed=1)
+    assert "inertia_recovered" not in first.meta
+    assert retried.meta["inertia_recovered"] and retried.meta["inertia_checked"]
+    assert np.abs(retried.eigenvalues - first.eigenvalues).max() < 1e-10
+    assert retried.zero_count == first.zero_count == 2
+
+
 def test_inertia_detects_missed_duplicate():
     a = sp.diags([1.0, 1.0, 2.0, 5.0]).tocsr()
     m = sp.identity(4, format="csr")

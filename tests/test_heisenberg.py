@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from artifact.eigensolve import _factor_symmetric, smallest_eigenpairs
 from artifact.heisenberg import (HeisenbergGrid, audit_kohn,
                                  build_kohn_laplacian, heisenberg_grid,
-                                 kohn_spectrum, reflect)
+                                 kohn_spectrum, parity_blocks, reflect)
 
 
 def independent_fields(grid):
@@ -54,6 +55,8 @@ def test_grid_validation():
     warped = np.sign(ax) * np.abs(ax) ** 1.1
     with pytest.raises(ValueError):
         HeisenbergGrid(1, 1.0, 1.0, 16, (ax, ax, warped))  # non-uniform
+    with pytest.raises(ValueError, match="x_1 and y_1"):
+        HeisenbergGrid(1, 1.0, 1.0, 16, (ax, 1.5 * ax, ax))  # S needs x = y
 
 
 def test_grid_geometry():
@@ -129,13 +132,55 @@ def test_ground_state_refinement_stability():
 
 
 def test_doubled_spectrum_pairs():
-    # the checkerboard symmetry in t doubles every eigenvalue; the solver
-    # must resolve both members of each pair (inertia-certified)
+    # S: (x, y, t) -> (y, x, -t) swaps the two parity blocks and commutes
+    # with L, which doubles every eigenvalue; both members of each pair
+    # come back, inertia-certified
     res = kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 24), k=8)
     v = res.eigenvalues
-    assert res.meta["inertia_checked"]
+    assert res.meta["inertia_checked"] and res.meta["parity_block"]
     for i in range(4):
         assert v[2 * i + 1] / v[2 * i] - 1.0 < 1e-12
+
+
+@pytest.mark.parametrize("n, g", [(1, 16), (1, 18), (2, 16)])
+def test_parity_blocks_exchanged_by_swap(n, g):
+    grid = heisenberg_grid(n, 1.0, 1.0, g)
+    lap = build_kohn_laplacian(grid)
+    parity, even, image = parity_blocks(grid)
+    swap = np.empty(len(parity), dtype=int)
+    swap[even], swap[image] = image, even  # S is an involution
+    assert (parity[swap] != parity).all()
+    coo = lap.tocoo()
+    assert (parity[coo.row] != parity[coo.col]).sum() == 0
+    dim = lap.shape[0]
+    perm = sp.csr_matrix((np.ones(dim), (swap, np.arange(dim))), shape=(dim, dim))
+    assert (perm @ lap @ perm.T != lap).nnz == 0
+
+
+def test_point_reflection_is_not_a_symmetry():
+    grid = heisenberg_grid(1, 1.0, 1.0, 16)
+    lap = build_kohn_laplacian(grid)
+    dim = lap.shape[0]
+    perm = sp.csr_matrix((np.ones(dim), (np.arange(dim)[::-1], np.arange(dim))),
+                         shape=(dim, dim))
+    dev = abs(perm @ lap @ perm.T - lap).max() / abs(lap).max()
+    assert dev > 0.3
+
+
+def test_parity_block_matches_full_operator():
+    grid = heisenberg_grid(1, 1.0, 1.0, 24)
+    res = kohn_spectrum(grid, k=12)
+    lap = build_kohn_laplacian(grid)
+    full = smallest_eigenpairs(lap, None, k=12, definite=True)
+    assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
+    assert res.meta["block_dim"] == lap.shape[0] // 2
+    # Sylvester count of the full operator below the block's inertia shift
+    lu = _factor_symmetric((lap - res.meta["inertia_shift"] * sp.identity(
+        lap.shape[0], format="csr")).tocsc())
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert int((lu.U.diagonal() < 0).sum()) == res.meta["inertia_count"]
+    assert res.eigenvectors.shape == (lap.shape[0], 12)
+    assert res.zero_count == full.zero_count == 0
 
 
 def test_audit_kohn_records():
