@@ -33,10 +33,11 @@ from .curvature import (CurvatureData, PhiField, curvature_data,
                         second_fundamental_norm)
 from .commutator import (CommutatorError, degenerate_orthogonality_check,
                          lp_identity_residual, run_trials)
-from .heisenberg import (HeisenbergGrid, audit_kohn, build_kohn_laplacian,
+from .heisenberg import (HeisenbergGrid, build_kohn_laplacian,
                          heisenberg_grid, kohn_spectrum, reflect)
 from .audit import (AuditError, DensityField, audit_closed, audit_dirichlet,
-                    closed_spectra, discretization_allowance, emit_report,
-                    integrate_against, reconstruct_density, whitney_face_mass)
+                    audit_kohn, closed_spectra, discretization_allowance,
+                    emit_report, integrate_against, reconstruct_density,
+                    whitney_face_mass)
 
 __version__ = "0.1.0"

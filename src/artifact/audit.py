@@ -28,10 +28,12 @@ R_0 = 0, R_1 = K id.  The Dirichlet-with-potential catalog adds
 dirichlet-potential-integral / -sup, dirichlet-symmetric-space for
 domains in a round sphere, levitin-parnovski for flat zero-potential
 domains, and the classical payne-polya-weinberger / hile-protter / yang
-chains.
+chains.  The Kohn sublaplacian spectrum of a box in the Heisenberg
+group H^n adds heisenberg-sum: sum_{l<=n} lam_{j+l} <= (n+2) lam_j,
+with scale lam_{j_max+n} and allowance 0.
 
 A record passes when lhs <= rhs + (tol_audit + allowance) * scale with
-scale = max(|lhs|, |rhs|, top computed eigenvalue); the additive form
+scale = max(|lhs|, |rhs|, top audited eigenvalue); the additive form
 keeps audits meaningful when the right side is exactly zero (kernel
 rows).  ``allowance`` absorbs discretization error and should be set
 from a two-refinement Richardson comparison.
@@ -53,7 +55,8 @@ from .eigensolve import solve_pair
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
-           "closed_spectra", "audit_closed", "audit_dirichlet", "emit_report"]
+           "closed_spectra", "audit_closed", "audit_dirichlet", "audit_kohn",
+           "emit_report"]
 
 M_DIM = 2
 AUDIT_TOL = 1e-6
@@ -166,12 +169,17 @@ def reconstruct_density(mesh, p, vec, face_mass=None):
         values, weights, domain = raw, fa, "face"
     else:
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
+    return DensityField(_unit_density(p, values, factor), weights, domain, factor)
+
+
+def _unit_density(p, values, factor):
+    """``values / factor`` once the raw integral ``factor`` is in range."""
     lo, hi = DENSITY_FACTOR_RANGE
     if not (lo <= factor <= hi):
         raise AuditError(
             f"p={p} density integrates to {factor:.6f} before renormalization, "
             f"outside [{lo}, {hi}]; the interpolated and lumped norms disagree")
-    return DensityField(values / factor, weights, domain, factor)
+    return values / factor
 
 
 def integrate_against(mesh, density, vertex_field):
@@ -398,10 +406,7 @@ def audit_dirichlet(mesh, potential=None, ambient="flat", j_max=15,
         gap_lhs = float(vals[j] + vals[j + 1])
         raw = vecs[:, j - 1] ** 2
         factor = float(weights @ raw)
-        lo, hi = DENSITY_FACTOR_RANGE
-        if not (lo <= factor <= hi):
-            raise AuditError(f"Dirichlet density factor {factor:.6f} outside [{lo}, {hi}]")
-        rho = raw / factor
+        rho = _unit_density(0, raw, factor)
         int_term = float(weights @ (rho * (0.25 * h2_int - q_int)))
 
         records.append(_record(
@@ -450,6 +455,29 @@ def audit_dirichlet(mesh, potential=None, ambient="flat", j_max=15,
                 tol_audit, allowance, scale))
 
     return _sort_records(records), spectrum
+
+
+def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
+    """Audit sum_{l=1}^n lambda_{j+l} <= (n + 2) lambda_j for j <= j_max.
+
+    ``eigenvalues`` is the Kohn sublaplacian spectrum of a box in H^n and
+    must contain at least j_max + n entries in ascending order.  Returns
+    one ``heisenberg-sum`` record per j, with allowance 0.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
+    if len(vals) < j_max + n:
+        raise ValueError(
+            f"need at least j_max + n = {j_max + n} eigenvalues, got {len(vals)}")
+    if (np.diff(vals) < -1e-12 * max(1.0, abs(vals[-1]))).any():
+        raise ValueError("eigenvalues must be in ascending order")
+    scale = float(vals[j_max + n - 1])
+    records = []
+    for j in range(1, j_max + 1):
+        lam_j = float(vals[j - 1])
+        records.append(_record(
+            "heisenberg-sum", None, j, float(vals[j:j + n].sum()), (n + 2.0) * lam_j,
+            {"n": n, "lambda_j": lam_j}, tol_audit, 0.0, scale))
+    return records
 
 
 # -- reports ---------------------------------------------------------------

@@ -22,12 +22,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import (AUDIT_TOL, M_DIM, audit_closed, audit_dirichlet,
+from .audit import (AUDIT_TOL, M_DIM, audit_closed, audit_dirichlet, audit_kohn,
                     closed_spectra, discretization_allowance, emit_report)
 from .commutator import run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
-from .heisenberg import audit_kohn, heisenberg_grid, kohn_spectrum
+from .heisenberg import heisenberg_grid, kohn_spectrum
 from .mesh import generate, load_mesh, save_mesh
 
 # Relative residual allowed for the commutator identity trials, and the

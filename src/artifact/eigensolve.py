@@ -105,7 +105,7 @@ def cluster_slices(vals, gap):
 
 
 def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
-                        verify_inertia=True, check_psd=True):
+                        check_psd=True):
     """k smallest eigenpairs of A x = lambda M x with certificates.
 
     Parameters
@@ -126,9 +126,6 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
         factorized directly (Dirichlet problems); otherwise
         sigma = -1e-6 trace(A)/dim keeps the factorization away from a
         possible kernel.
-    verify_inertia : bool
-        Cross-check the eigenvalue count below lambda_k via the inertia
-        of A - lambda' M.
 
     Returns
     -------
@@ -153,23 +150,22 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
     else:
         if k > dim - 2:
             raise ValueError(f"k={k} exceeds dim - 2 = {dim - 2} on the iterative path")
-        vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed, definite)
-        vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-        residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
-        if verify_inertia:
-            m_full = m_op if m_op is not None else sp.identity(dim, format="csr")
+        m_full = m_op if m_op is not None else sp.identity(dim, format="csr")
+        # When the inertia count shows that a tight cluster lost a member
+        # to the Lanczos iteration (typical for exactly doubled spectra),
+        # recover once with a deeper Krylov space and re-certify everything.
+        for extra in (0, 8):
+            vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed, definite, extra)
+            vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
+            residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
             try:
                 meta.update(_verify_inertia(a, m_full, vals, k))
+                break
             except CertificationError:
-                # A tight cluster lost a member to the Lanczos iteration
-                # (typical for exactly doubled spectra).  Recover once with
-                # a deeper Krylov space, then re-certify everything.
-                vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed,
-                                                 definite, extra=8)
-                vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-                residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
-                meta.update(_verify_inertia(a, m_full, vals, k))
-                meta["inertia_recovered"] = True
+                if extra:
+                    raise
+        if extra:
+            meta["inertia_recovered"] = True
     if check_psd:
         norm_a = spla.norm(a, np.inf)
         if vals[0] < -1e-9 * norm_a:
@@ -187,7 +183,7 @@ def _solve_dense(a, m_diag, k):
     return vals, vecs, {"method": "dense", "k_solve": a.shape[0]}
 
 
-def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra=0):
+def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
     dim = a.shape[0]
     k_solve = min(k + 4 + extra, dim - 2)
     ncv = min(dim - 1, max(3 * k_solve + 1, 40)) if extra else None
@@ -301,8 +297,7 @@ def _verify_inertia(a, m, vals, k):
     raise CertificationError("inertia factorization kept pivoting; count unavailable")
 
 
-def solve_pair(pair, k, tol=1e-8, seed=42, verify_inertia=True):
+def solve_pair(pair, k, tol=1e-8, seed=42):
     """Solve an assembled EigenproblemPair; Dirichlet pairs use sigma = 0."""
     return smallest_eigenpairs(pair.stiffness, pair.mass_diag, k=k, tol=tol,
-                               seed=seed, definite=pair.dirichlet,
-                               verify_inertia=verify_inertia)
+                               seed=seed, definite=pair.dirichlet)

@@ -14,11 +14,8 @@ Discretization: uniform tensor grid on [-a, a]^(2n) x [-T, T], centered
 first differences with exterior nodes dropped (zero boundary values),
 multiplication coefficients frozen at the row node.  The assembled
 operator is symmetrized and positive semi-definite by construction.
-
-The eigenvalue audit checked here: the sum of the n eigenvalues
-following the j-th is at most (n + 2) times the j-th,
-
-    sum_{l=1}^{n} lambda_{j+l}  <=  (n + 2) lambda_j.
+The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
+in ``audit``.
 """
 
 from __future__ import annotations
@@ -28,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .audit import AUDIT_TOL
 from .eigensolve import (CertificationError, SpectrumResult, _certify_orthonormal,
                          _certify_residuals, _zero_count, smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "reflect", "parity_blocks",
-           "build_kohn_laplacian", "kohn_spectrum", "audit_kohn"]
+           "build_kohn_laplacian", "kohn_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -203,33 +199,3 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     meta = {**half.meta, "parity_block": True, "block_dim": len(even),
             "inertia_count": 2 * half.meta["inertia_count"]}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
-
-
-def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
-    """Audit sum_{l=1}^n lambda_{j+l} <= (n + 2) lambda_j for j <= j_max.
-
-    ``eigenvalues`` must contain at least j_max + n entries in ascending
-    order.  Returns one record dict per j in the common report layout.
-    """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if len(vals) < j_max + n:
-        raise ValueError(
-            f"need at least j_max + n = {j_max + n} eigenvalues, got {len(vals)}")
-    if (np.diff(vals) < -1e-12 * max(1.0, abs(vals[-1]))).any():
-        raise ValueError("eigenvalues must be in ascending order")
-    records = []
-    for j in range(1, j_max + 1):
-        lam_j = float(vals[j - 1])
-        lhs = float(vals[j:j + n].sum())
-        rhs = (n + 2.0) * lam_j
-        records.append({
-            "ineq": "heisenberg-sum",
-            "p": None,
-            "j": j,
-            "lhs": lhs,
-            "rhs": rhs,
-            "slack": rhs - lhs,
-            "pass": bool(lhs <= rhs * (1.0 + tol_audit)),
-            "terms": {"n": n, "lambda_j": lam_j, "tol_audit": tol_audit},
-        })
-    return records

@@ -13,15 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from artifact.audit import (audit_closed, audit_dirichlet, closed_spectra,
-                            discretization_allowance, emit_report)
+from artifact.audit import (audit_closed, audit_dirichlet, audit_kohn,
+                            closed_spectra, discretization_allowance,
+                            emit_report)
 from artifact.cli import main as cli_main
 from artifact.commutator import run_trials
 from artifact.curvature import curvature_data
 from artifact.dec import dirichlet_laplacian, hodge_laplacian
 from artifact.eigensolve import solve_pair
-from artifact.heisenberg import (audit_kohn, build_kohn_laplacian,
-                                 heisenberg_grid, kohn_spectrum)
+from artifact.heisenberg import (build_kohn_laplacian, heisenberg_grid,
+                                 kohn_spectrum)
 from artifact.mesh import (clifford_torus, flat_rectangle, geodesic_cap,
                            icosphere, surface_measures)
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from artifact.audit import (AuditError, audit_closed, audit_dirichlet,
-                            closed_spectra, discretization_allowance,
-                            emit_report, integrate_against,
-                            reconstruct_density, whitney_face_mass)
+                            audit_kohn, closed_spectra,
+                            discretization_allowance, emit_report,
+                            integrate_against, reconstruct_density,
+                            whitney_face_mass)
 from artifact.dec import dirichlet_laplacian, hodge_laplacian
 from artifact.eigensolve import solve_pair
 from artifact.mesh import MeshError, TriangleMesh
@@ -227,6 +228,26 @@ def test_audit_dirichlet_errors(sphere2, square16):
         audit_dirichlet(square16, ambient="hyperbolic", j_max=2)
     with pytest.raises(ValueError):
         audit_dirichlet(square16, ambient="flat", j_max=0)
+
+
+def test_audit_kohn_pass_rule_is_additive():
+    # lhs exceeds rhs = 3 by 5e-6: beyond 1e-6 * rhs, but within
+    # 1e-6 * lambda_top = 1e-5, the margin every catalog uses
+    recs = audit_kohn(np.array([1.0, 3.0 + 5e-6, 10.0]), n=1, j_max=2)
+    r1 = recs[0]
+    assert r1["lhs"] - r1["rhs"] > 1e-6 * r1["rhs"]
+    assert r1["terms"]["margin"] == 1e-6 * 10.0
+    assert r1["pass"]
+
+
+def test_record_schema_shared_by_all_catalogs(sphere2, square16):
+    closed, _ = audit_closed(sphere2, j_max=2)
+    dirichlet, _ = audit_dirichlet(square16, ambient="flat", j_max=2)
+    kohn = audit_kohn(np.array([1.0, 2.0, 2.5, 7.0]), n=2, j_max=2)
+    keys = {"ineq", "p", "j", "lhs", "rhs", "slack", "pass", "terms"}
+    for rec in closed + dirichlet + kohn:
+        assert rec.keys() == keys
+        assert {"tol_audit", "allowance", "margin"} <= rec["terms"].keys()
 
 
 def test_emit_report_json_deterministic(sphere2):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from artifact.audit import audit_kohn
 from artifact.eigensolve import _factor_symmetric, smallest_eigenpairs
-from artifact.heisenberg import (HeisenbergGrid, audit_kohn,
-                                 build_kohn_laplacian, heisenberg_grid,
-                                 kohn_spectrum, parity_blocks, reflect)
+from artifact.heisenberg import (HeisenbergGrid, build_kohn_laplacian,
+                                 heisenberg_grid, kohn_spectrum,
+                                 parity_blocks, reflect)
 
 
 def independent_fields(grid):
@@ -191,6 +192,10 @@ def test_audit_kohn_records():
     assert r1["ineq"] == "heisenberg-sum" and r1["p"] is None and r1["j"] == 1
     assert r1["lhs"] == 4.5 and r1["rhs"] == 4.0 and not r1["pass"]
     assert recs[1]["lhs"] == 9.5 and recs[1]["rhs"] == 8.0 and not recs[1]["pass"]
+    # the additive rule of every catalog, scaled by the top audited
+    # eigenvalue lambda_{j_max + n} = 8, with no allowance
+    assert r1["terms"] == {"n": 2, "lambda_j": 1.0, "tol_audit": 1e-6,
+                           "allowance": 0.0, "margin": 1e-6 * 8.0}
     passing = audit_kohn(np.array([1.0, 1.0, 2.9]), n=1, j_max=2)
     assert all(r["pass"] for r in passing)
 
