@@ -20,8 +20,7 @@ if _threads:
 del _os, _threads
 
 from .mesh import (MeshError, TriangleMesh, clifford_torus, flat_rectangle,
-                   generate, geodesic_cap, icosphere, load_mesh, save_mesh,
-                   surface_measures)
+                   generate, geodesic_cap, icosphere, load_mesh, save_mesh)
 from .dec import (DecComplex, EigenproblemPair, HodgeStar, assert_symmetric,
                   dirichlet_laplacian, exterior_derivative,
                   export_matrix_market, hodge_laplacian, hodge_star)

@@ -32,6 +32,11 @@ chains.  The Kohn sublaplacian spectrum of a box in the Heisenberg
 group H^n adds heisenberg-sum: sum_{l<=n} lam_{j+l} <= (n+2) lam_j,
 with scale lam_{j_max+n} and allowance 0.
 
+Each audit builds its records only from what it is given: the closed
+catalog reads the solved Hodge spectra (``closed_spectra``), the
+Dirichlet catalog reads the assembled pencil, which carries its own
+potential, and its solved spectrum.  All three return a list of records.
+
 A record passes when lhs <= rhs + (tol_audit + allowance) * scale with
 scale = max(|lhs|, |rhs|, top audited eigenvalue); the additive form
 keeps audits meaningful when the right side is exactly zero (kernel
@@ -49,7 +54,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .curvature import curvature_data, phi_field
+from .curvature import M_DIM, curvature_data, phi_field
+# dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
 
@@ -58,7 +64,6 @@ __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "closed_spectra", "audit_closed", "audit_dirichlet", "audit_kohn",
            "emit_report"]
 
-M_DIM = 2
 AUDIT_TOL = 1e-6
 # Reconstructed densities must integrate to 1; the raw integral before
 # renormalization is allowed to drift only this far.
@@ -254,21 +259,17 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
             for p in (0, 1, 2)}
 
 
-def audit_closed(mesh, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0,
-                 spectra=None, tol=1e-8, seed=42):
-    """Run the full closed-surface catalog; returns (records, spectra).
+def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):
+    """Run the full closed-surface catalog; returns the records.
 
-    ``spectra`` may carry precomputed results keyed by degree (each with
-    at least j_max + 2 eigenvalues); otherwise the three pencils are
-    solved here.
+    ``spectra`` maps form degree to the solved Hodge pencil of ``mesh``
+    (see ``closed_spectra``), each with at least j_max + 2 eigenvalues.
     """
     if not mesh.is_closed:
         raise AuditError("closed-surface audit needs a closed mesh")
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
     k = j_max + M_DIM
-    if spectra is None:
-        spectra = closed_spectra(mesh, k, tol=tol, seed=seed)
     for p in (0, 1, 2):
         if len(spectra[p].eigenvalues) < k:
             raise AuditError(f"need {k} eigenvalues for degree {p}, "
@@ -360,37 +361,34 @@ def audit_closed(mesh, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0,
                 {**common, "int_h2": int_h2},
                 tol_audit, allowance, scale))
 
-    return _sort_records(records), spectra
+    return _sort_records(records)
 
 
-def audit_dirichlet(mesh, potential=None, ambient="flat", j_max=15,
-                    tol_audit=AUDIT_TOL, allowance=0.0, spectrum=None,
-                    tol=1e-8, seed=42, pair=None):
-    """Run the Dirichlet-with-potential catalog; returns (records, spectrum).
+def audit_dirichlet(mesh, pair, spectrum, ambient="flat", j_max=15,
+                    tol_audit=AUDIT_TOL, allowance=0.0):
+    """Run the Dirichlet-with-potential catalog; returns the records.
 
-    ``ambient`` is "flat" for domains immersed in a plane (enables the
-    flat zero-potential chain) or "sphere" for domains in a unit round
-    sphere (enables the symmetric-space form).  ``pair`` is the pencil
-    ``dirichlet_laplacian(mesh, potential)`` if the caller has already
-    assembled it.
+    ``pair`` is the pencil ``dirichlet_laplacian(mesh, potential)`` and
+    ``spectrum`` its solution with at least j_max + 2 eigenvalues.  The
+    potential is read from ``pair.potential``, the interior values the
+    pencil was assembled with, so the audit always sees the operator
+    that was solved.  ``ambient`` is "flat" for domains immersed in a
+    plane (enables the flat zero-potential chain) or "sphere" for
+    domains in a unit round sphere (enables the symmetric-space form).
     """
     if ambient not in ("flat", "sphere"):
         raise ValueError(f'ambient must be "flat" or "sphere", got {ambient!r}')
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
-    if pair is None:
-        pair = dirichlet_laplacian(mesh, potential)
+    if not pair.dirichlet:
+        raise AuditError("Dirichlet audit needs a Dirichlet pencil")
     k = j_max + M_DIM
-    if spectrum is None:
-        spectrum = solve_pair(pair, k=k, tol=tol, seed=seed)
     if len(spectrum.eigenvalues) < k:
         raise AuditError(f"need {k} eigenvalues, got {len(spectrum.eigenvalues)}")
 
     interior = pair.interior_index_map
-    q = np.zeros(mesh.num_vertices) if potential is None else \
-        np.asarray(potential, dtype=float)
-    q_int = q[interior]
-    zero_potential = not q.any()
+    q_int = pair.potential
+    zero_potential = not q_int.any()
     curv = curvature_data(mesh)
     h2_int = curv.H_norm2[interior]
     weights = pair.mass_diag
@@ -454,7 +452,7 @@ def audit_dirichlet(mesh, potential=None, ambient="flat", j_max=15,
                 {**common, "lambda_next": float(vals[j])},
                 tol_audit, allowance, scale))
 
-    return _sort_records(records), spectrum
+    return _sort_records(records)
 
 
 def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
@@ -465,6 +463,8 @@ def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
     one ``heisenberg-sum`` record per j, with allowance 0.
     """
     vals = np.asarray(eigenvalues, dtype=float)
+    if j_max < 1:
+        raise ValueError(f"j_max must be positive, got {j_max}")
     if len(vals) < j_max + n:
         raise ValueError(
             f"need at least j_max + n = {j_max + n} eigenvalues, got {len(vals)}")
@@ -483,11 +483,12 @@ def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
 # -- reports ---------------------------------------------------------------
 
 
-def emit_report(records, mesh_name, refinement, spectra=None, path=None, fmt="json"):
+def emit_report(records, mesh_name, refinement, spectra=None, fmt="json"):
     """Serialize audit records deterministically; returns the text.
 
     JSON layout: {"mesh", "refinement", "records", "spectra"?} with the
-    records ordered by (ineq, p, j).  CSV flattens one record per row
+    records ordered by (ineq, p, j); ``spectra`` maps a form degree or
+    "kohn" to a SpectrumResult.  CSV flattens one record per row
     with the terms as a JSON column.  Non-finite values are refused.
     """
     if fmt not in ("json", "csv"):
@@ -504,8 +505,6 @@ def emit_report(records, mesh_name, refinement, spectra=None, path=None, fmt="js
         payload = {"mesh": mesh_name, "refinement": int(refinement),
                    "records": records}
         if spectra is not None:
-            if hasattr(spectra, "to_json_dict"):
-                spectra = {0: spectra}
             payload["spectra"] = {str(p): s.to_json_dict(p)
                                   for p, s in sorted(spectra.items())}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -523,8 +522,4 @@ def emit_report(records, mesh_name, refinement, spectra=None, path=None, fmt="js
                 json.dumps(rec["terms"], sort_keys=True),
             ])
         text = buf.getvalue()
-
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text

@@ -179,28 +179,26 @@ def _cmd_audit(args):
     k = args.j_max + M_DIM
 
     if suite == "closed":
-        fine = closed_spectra(mesh, k, tol=args.tol, seed=args.seed)
+        spectra = closed_spectra(mesh, k, tol=args.tol, seed=args.seed)
         coarse = closed_spectra(coarse_mesh, k, tol=args.tol, seed=args.seed)
-        allowance = discretization_allowance(fine, coarse)
-        records, spectra = audit_closed(
-            mesh, j_max=args.j_max, tol_audit=args.tol_audit,
-            allowance=allowance, spectra=fine)
+        allowance = discretization_allowance(spectra, coarse)
+        records = audit_closed(mesh, spectra, j_max=args.j_max,
+                               tol_audit=args.tol_audit, allowance=allowance)
     else:
         q = _load_potential(args.q, mesh) if args.q else None
         ambient = args.ambient if args.ambient else ("sphere" if family == "cap" else "flat")
         fine_pair = dirichlet_laplacian(mesh, q)
         fine_spec = solve_pair(fine_pair, k=k, tol=args.tol, seed=args.seed)
+        spectra = {0: fine_spec}
         # The potential file matches the fine mesh only; the allowance is
         # estimated from the zero-potential pencils, whose discretization
         # error converges at the same rate.
         coarse_spec = solve_pair(dirichlet_laplacian(coarse_mesh, None),
                                  k=k, tol=args.tol, seed=args.seed)
-        allowance = discretization_allowance({0: fine_spec}, {0: coarse_spec})
-        records, spectrum = audit_dirichlet(
-            mesh, potential=q, ambient=ambient, j_max=args.j_max,
-            tol_audit=args.tol_audit, allowance=allowance, spectrum=fine_spec,
-            pair=fine_pair)
-        spectra = {0: spectrum}
+        allowance = discretization_allowance(spectra, {0: coarse_spec})
+        records = audit_dirichlet(
+            mesh, fine_pair, fine_spec, ambient=ambient, j_max=args.j_max,
+            tol_audit=args.tol_audit, allowance=allowance)
 
     text = emit_report(records, args.mesh, level, spectra=spectra, fmt=args.fmt)
     _write(text, args.out)
@@ -223,10 +221,14 @@ def _cmd_heisenberg(args):
 
 
 def _cmd_lemma_check(args):
+    if args.trials < 0 or args.degenerate_trials < 0:
+        raise ValueError("trial counts must be non-negative")
+    if args.trials == 0 and args.degenerate_trials == 0:
+        raise ValueError("lemma-check needs at least one trial")
     ok = True
     reports = []
     for degenerate, count in ((False, args.trials), (True, args.degenerate_trials)):
-        if count <= 0:
+        if count == 0:
             continue
         records = run_trials(count, dim_min=args.dim_min, dim_max=args.dim_max,
                              seed=args.seed + (1 if degenerate else 0),

@@ -25,6 +25,8 @@ __all__ = ["CurvatureData", "PhiField", "mean_curvature_vector",
            "gaussian_curvature", "second_fundamental_norm",
            "curvature_data", "phi_field", "export_curvature_csv"]
 
+M_DIM = 2  # dimension m of the surfaces every curvature bound is stated for
+
 
 @dataclass
 class CurvatureData:
@@ -107,7 +109,7 @@ def curvature_data(mesh):
     return CurvatureData(H, H2, K, h2, valid, clamped, cs_defect)
 
 
-def phi_field(curv, p, m=2):
+def phi_field(curv, p):
     """Pointwise curvature bound phi(h, H) for form degree p.
 
     phi = p^2 [ (m-5)/4 |H|^2 + |h|^2
@@ -124,6 +126,7 @@ def phi_field(curv, p, m=2):
     """
     if p not in (0, 1, 2):
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
+    m = M_DIM
     H2, h2 = curv.H_norm2, curv.h_norm2
     radicand = m * h2 - H2
     n_clamped = int((radicand < 0).sum())

@@ -12,7 +12,7 @@ use; every pencil and curvature field reads its operators from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +48,10 @@ class EigenproblemPair:
     """Generalized symmetric pencil A x = lambda M x for one form degree.
 
     ``mass_diag`` holds the diagonal of M (strictly positive).  For
-    Dirichlet problems the rows are the interior vertices only and
-    ``interior_index_map`` maps retained rows back to mesh simplices.
+    Dirichlet problems the rows are the interior vertices only,
+    ``interior_index_map`` maps retained rows back to mesh simplices, and
+    ``potential`` is the read-only interior potential q_int assembled into
+    A (zeros without a potential); it is None for Hodge pencils.
     """
 
     stiffness: sp.csr_matrix
@@ -57,7 +59,7 @@ class EigenproblemPair:
     degree: int
     dirichlet: bool
     interior_index_map: np.ndarray
-    info: dict = field(default_factory=dict)
+    potential: np.ndarray | None
 
     @property
     def dim(self):
@@ -184,7 +186,6 @@ def hodge_laplacian(mesh, p):
     if p not in (0, 1, 2):
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
     c = mesh.dec
-    info = {"star1_clamped": c.star1.clamped}
     if p == 0:
         a = c.stiffness0
         mass = c.star0.diag
@@ -203,7 +204,7 @@ def hodge_laplacian(mesh, p):
         n = mesh.num_faces
     a = _symmetrized(a)
     assert_symmetric(a, what=f"hodge laplacian p={p}")
-    return EigenproblemPair(a, mass, p, False, np.arange(n), info)
+    return EigenproblemPair(a, mass, p, False, np.arange(n), None)
 
 
 def dirichlet_laplacian(mesh, potential=None):
@@ -225,11 +226,12 @@ def dirichlet_laplacian(mesh, potential=None):
     interior = np.nonzero(~mesh.boundary_vertex)[0]
     a = c.stiffness0[interior][:, interior]
     mass = c.star0.diag[interior]
-    a = a + sp.diags(mass * q[interior])
+    q_int = q[interior]
+    q_int.setflags(write=False)
+    a = a + sp.diags(mass * q_int)
     a = _symmetrized(a)
     assert_symmetric(a, what="dirichlet laplacian")
-    return EigenproblemPair(a.tocsr(), mass, 0, True, interior,
-                            {"star1_clamped": c.star1.clamped})
+    return EigenproblemPair(a.tocsr(), mass, 0, True, interior, q_int)
 
 
 def export_matrix_market(a, path):

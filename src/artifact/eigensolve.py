@@ -63,14 +63,9 @@ class SpectrumResult:
 def _mass_matrix(mass, dim):
     if mass is None:
         return None, np.ones(dim)
-    if isinstance(mass, np.ndarray) and mass.ndim == 1:
-        diag = mass
-    else:
-        m = sp.csr_matrix(mass)
-        diag = m.diagonal()
-        off = m - sp.diags(diag)
-        if off.nnz and np.abs(off.data).max() > 0:
-            raise ValueError("mass operator must be diagonal")
+    diag = np.asarray(mass, dtype=float)
+    if diag.shape != (dim,):
+        raise ValueError(f"mass must hold {dim} diagonal entries, got shape {diag.shape}")
     if (diag <= 0).any():
         raise ValueError("mass diagonal must be strictly positive")
     return sp.diags(diag, format="csr"), diag
@@ -111,7 +106,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
     Parameters
     ----------
     a : sparse symmetric matrix
-    mass : diagonal sparse matrix, 1-d array of diagonal entries, or None
+    mass : 1-d array_like of dim positive diagonal entries, or None
         None means the identity (standard problem).
     k : int
         Number of pairs; k <= dim - 2 on the iterative path (small

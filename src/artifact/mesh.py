@@ -26,7 +26,6 @@ __all__ = [
     "clifford_torus",
     "flat_rectangle",
     "geodesic_cap",
-    "surface_measures",
 ]
 
 _DEGENERACY_REL = 1e-12
@@ -199,22 +198,6 @@ class TriangleMesh:
         kind = "closed" if self.is_closed else "bounded"
         return (f"TriangleMesh(V={self.num_vertices}, E={self.num_edges}, "
                 f"F={self.num_faces}, R^{self.ambient_dim}, {kind})")
-
-
-def surface_measures(mesh):
-    """Face areas, barycentric lumped vertex areas, and total volume.
-
-    Each vertex receives one third of every incident face area, so the
-    vertex areas and face areas both sum to the total surface measure.
-    The arrays are the mesh's own read-only attributes.
-
-    Returns
-    -------
-    face_areas : (F,) ndarray
-    vertex_areas : (V,) ndarray
-    total : float
-    """
-    return mesh.face_areas, mesh.vertex_areas, mesh.total_area
 
 
 # -- generation ----------------------------------------------------------

@@ -23,8 +23,7 @@ from artifact.dec import dirichlet_laplacian, hodge_laplacian
 from artifact.eigensolve import solve_pair
 from artifact.heisenberg import (build_kohn_laplacian, heisenberg_grid,
                                  kohn_spectrum)
-from artifact.mesh import (clifford_torus, flat_rectangle, geodesic_cap,
-                           icosphere, surface_measures)
+from artifact.mesh import clifford_torus, flat_rectangle, geodesic_cap, icosphere
 
 
 def _verdict(criterion, detail, failures):
@@ -55,8 +54,9 @@ def cliff64():
 def square64():
     t0 = time.perf_counter()
     mesh = flat_rectangle(1.0, 1.0, 64, 64)
-    spectrum = solve_pair(dirichlet_laplacian(mesh), k=17)
-    return SimpleNamespace(mesh=mesh, spectrum=spectrum,
+    pair = dirichlet_laplacian(mesh)
+    spectrum = solve_pair(pair, k=17)
+    return SimpleNamespace(mesh=mesh, pair=pair, spectrum=spectrum,
                            seconds=time.perf_counter() - t0)
 
 
@@ -64,8 +64,8 @@ def square64():
 def ico4_audit(ico4):
     coarse = closed_spectra(icosphere(1.0, 3), k=22)
     allowance = discretization_allowance(ico4.spectra, coarse)
-    records, _ = audit_closed(ico4.mesh, j_max=20, allowance=allowance,
-                              spectra=ico4.spectra)
+    records = audit_closed(ico4.mesh, ico4.spectra, j_max=20,
+                           allowance=allowance)
     text = emit_report(records, "icosphere4", 4, spectra=ico4.spectra)
     return SimpleNamespace(records=records, allowance=allowance, text=text)
 
@@ -74,17 +74,19 @@ def ico4_audit(ico4):
 def cliff64_audit(cliff64):
     coarse = closed_spectra(clifford_torus(32, 32), k=22)
     allowance = discretization_allowance(cliff64.spectra, coarse)
-    records, _ = audit_closed(cliff64.mesh, j_max=20, allowance=allowance,
-                              spectra=cliff64.spectra)
+    records = audit_closed(cliff64.mesh, cliff64.spectra, j_max=20,
+                           allowance=allowance)
     text = emit_report(records, "clifford64", 64, spectra=cliff64.spectra)
     return SimpleNamespace(records=records, allowance=allowance, text=text)
 
 
 def _cap_audit(refinement):
     mesh = geodesic_cap(np.pi / 3.0, refinement)
-    records, spectrum = audit_dirichlet(mesh, ambient="sphere", j_max=8)
+    pair = dirichlet_laplacian(mesh)
+    spectrum = solve_pair(pair, k=10)
+    records = audit_dirichlet(mesh, pair, spectrum, ambient="sphere", j_max=8)
     text = emit_report(records, f"cap{refinement}", refinement,
-                       spectra=spectrum)
+                       spectra={0: spectrum})
     return SimpleNamespace(mesh=mesh, records=records, spectrum=spectrum,
                            text=text)
 
@@ -139,8 +141,7 @@ def test_criterion_2_reilly_equality(ico4, cliff64):
     def rel_gap(mesh, spectrum):
         vals = spectrum.eigenvalues
         curv = curvature_data(mesh)
-        _, va, vol = surface_measures(mesh)
-        rhs = float(va @ curv.H_norm2) / vol
+        rhs = float(mesh.vertex_areas @ curv.H_norm2) / mesh.total_area
         lhs = float(vals[1] + vals[2])
         return (rhs - lhs) / rhs
 
@@ -180,8 +181,8 @@ def test_criterion_2_reilly_equality(ico4, cliff64):
 
 
 def test_criterion_3_dirichlet_chains(square64):
-    records, _ = audit_dirichlet(square64.mesh, ambient="flat", j_max=15,
-                                 spectrum=square64.spectrum)
+    records = audit_dirichlet(square64.mesh, square64.pair, square64.spectrum,
+                              ambient="flat", j_max=15)
     failures = []
     lp1 = next(r for r in records
                if r["ineq"] == "levitin-parnovski" and r["j"] == 1)
@@ -304,8 +305,10 @@ def test_criterion_7_cross_audit_consistency(ico4_audit, cliff64_audit,
 def test_criterion_8_determinism(ico4, ico4_audit, cap4_audit, tmp_path):
     failures = []
 
-    records, spectra = audit_closed(ico4.mesh, j_max=20,
-                                    allowance=ico4_audit.allowance)
+    # a second, independent solve of the same pencils
+    spectra = closed_spectra(ico4.mesh, k=22)
+    records = audit_closed(ico4.mesh, spectra, j_max=20,
+                           allowance=ico4_audit.allowance)
     fresh = emit_report(records, "icosphere4", 4, spectra=spectra)
     if fresh != ico4_audit.text:
         failures.append("closed-suite report not byte-identical across runs")

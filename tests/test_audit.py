@@ -12,7 +12,28 @@ from artifact.audit import (AuditError, audit_closed, audit_dirichlet,
                             whitney_face_mass)
 from artifact.dec import dirichlet_laplacian, hodge_laplacian
 from artifact.eigensolve import solve_pair
-from artifact.mesh import MeshError, TriangleMesh
+from artifact.mesh import TriangleMesh
+
+
+def solved_dirichlet(mesh, potential=None, k=8):
+    """A Dirichlet pencil and its spectrum, as the audit receives them."""
+    pair = dirichlet_laplacian(mesh, potential)
+    return pair, solve_pair(pair, k=k)
+
+
+@pytest.fixture(scope="module")
+def sphere2_spectra(sphere2):
+    return closed_spectra(sphere2, k=8)
+
+
+@pytest.fixture(scope="module")
+def square16_solved(square16):
+    return solved_dirichlet(square16)
+
+
+@pytest.fixture(scope="module")
+def square16_q15(square16):
+    return solved_dirichlet(square16, np.full(square16.num_vertices, 1.5), k=6)
 
 
 def midpoint_whitney_mass(verts):
@@ -104,8 +125,8 @@ def test_discretization_allowance():
     assert discretization_allowance(fine, fine) == 0.0
 
 
-def test_audit_closed_catalog_shape(sphere2):
-    records, spectra = audit_closed(sphere2, j_max=5)
+def test_audit_closed_catalog_shape(sphere2, sphere2_spectra):
+    records = audit_closed(sphere2, sphere2_spectra, j_max=5)
     assert len(records) == 16 * 5 + 6
     assert all(r["pass"] for r in records)
     ids = {r["ineq"] for r in records}
@@ -123,8 +144,9 @@ def test_audit_closed_catalog_shape(sphere2):
     assert keys == sorted(keys)
 
 
-def test_audit_closed_reilly_terms(sphere2):
-    records, spectra = audit_closed(sphere2, j_max=2)
+def test_audit_closed_reilly_terms(sphere2, sphere2_spectra):
+    spectra = sphere2_spectra
+    records = audit_closed(sphere2, spectra, j_max=2)
     reilly = next(r for r in records if r["ineq"] == "reilly")
     # lambda_2 <= int |H|^2 / (2 Vol): on the unit sphere both sides -> 2
     assert reilly["lhs"] == pytest.approx(spectra[0].eigenvalues[1])
@@ -134,8 +156,8 @@ def test_audit_closed_reilly_terms(sphere2):
     assert rsum["rhs"] == pytest.approx(2.0 * reilly["rhs"])
 
 
-def test_sharp_recursion_dominates_basic(sphere2):
-    records, _ = audit_closed(sphere2, j_max=6)
+def test_sharp_recursion_dominates_basic(sphere2, sphere2_spectra):
+    records = audit_closed(sphere2, sphere2_spectra, j_max=6)
     basic = {(r["p"], r["j"]): r["rhs"] for r in records
              if r["ineq"] == "recursion-basic"}
     sharp = {(r["p"], r["j"]): r["rhs"] for r in records
@@ -145,30 +167,32 @@ def test_sharp_recursion_dominates_basic(sphere2):
             assert rhs <= basic[(p, j + 2)] + 1e-12 * abs(rhs)
 
 
-def test_audit_closed_respects_allowance(sphere2):
+def test_audit_closed_respects_allowance(sphere2, sphere2_spectra):
     # a failing record can only be rescued by a declared allowance
-    records, _ = audit_closed(sphere2, j_max=3, tol_audit=-0.9)
+    records = audit_closed(sphere2, sphere2_spectra, j_max=3, tol_audit=-0.9)
     assert any(not r["pass"] for r in records)
-    records, _ = audit_closed(sphere2, j_max=3, tol_audit=-0.9, allowance=2.0)
+    records = audit_closed(sphere2, sphere2_spectra, j_max=3, tol_audit=-0.9,
+                           allowance=2.0)
     assert all(r["pass"] for r in records)
     assert all(r["terms"]["allowance"] == 2.0 for r in records)
 
 
-def test_audit_closed_precomputed_spectra_and_errors(sphere2, square16):
-    spectra = closed_spectra(sphere2, k=5)
-    records, back = audit_closed(sphere2, j_max=3, spectra=spectra)
-    assert back is spectra
+def test_audit_closed_precomputed_spectra_and_errors(sphere2, square16,
+                                                     sphere2_spectra):
+    records = audit_closed(sphere2, sphere2_spectra, j_max=3)
+    assert len(records) == 16 * 3 + 6
     with pytest.raises(AuditError, match="closed"):
-        audit_closed(square16, j_max=3)
+        audit_closed(square16, sphere2_spectra, j_max=3)
     with pytest.raises(ValueError):
-        audit_closed(sphere2, j_max=0)
-    short = closed_spectra(sphere2, k=3)
+        audit_closed(sphere2, sphere2_spectra, j_max=0)
+    # j_max = 7 needs 9 eigenvalues per degree; the spectra hold 8
     with pytest.raises(AuditError, match="eigenvalues"):
-        audit_closed(sphere2, j_max=3, spectra=short)
+        audit_closed(sphere2, sphere2_spectra, j_max=7)
 
 
-def test_audit_dirichlet_catalog(square16):
-    records, spectrum = audit_dirichlet(square16, ambient="flat", j_max=6)
+def test_audit_dirichlet_catalog(square16, square16_solved):
+    pair, spectrum = square16_solved
+    records = audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=6)
     assert len(records) == 31
     assert all(r["pass"] for r in records)
     vals = spectrum.eigenvalues
@@ -184,9 +208,8 @@ def test_audit_dirichlet_catalog(square16):
     assert ppw["lhs"] == pytest.approx(vals[1], rel=1e-14)
 
 
-def test_audit_dirichlet_potential_drops_flat_chain(square16):
-    q = np.full(square16.num_vertices, 1.5)
-    records, _ = audit_dirichlet(square16, potential=q, ambient="flat", j_max=4)
+def test_audit_dirichlet_potential_drops_flat_chain(square16, square16_q15):
+    records = audit_dirichlet(square16, *square16_q15, ambient="flat", j_max=4)
     ids = {r["ineq"] for r in records}
     assert "levitin-parnovski" not in ids
     assert "payne-polya-weinberger" not in ids
@@ -194,22 +217,42 @@ def test_audit_dirichlet_potential_drops_flat_chain(square16):
     assert all(r["pass"] for r in records)
 
 
+def test_audit_dirichlet_reads_potential_from_pencil(square16, square16_q15,
+                                                    square16_solved):
+    # H = 0 inside the flat square, so each integral term is -q exactly
+    # up to roundoff; the flat zero-potential chain is absent
+    records = audit_dirichlet(square16, *square16_q15, ambient="flat", j_max=4)
+    terms = [r["terms"]["potential_term"] for r in records
+             if r["ineq"] == "dirichlet-potential-integral"]
+    assert len(terms) == 4
+    assert terms == pytest.approx([-1.5] * 4, abs=1e-12)
+    assert "levitin-parnovski" not in {r["ineq"] for r in records}
+    # the pencil never sees boundary values: a boundary-only potential is
+    # the zero-potential operator, and it is audited as one
+    q = np.where(square16.boundary_vertex, 3.0, 0.0)
+    boundary_only = audit_dirichlet(square16, *solved_dirichlet(square16, q),
+                                    ambient="flat", j_max=6)
+    assert boundary_only == audit_dirichlet(square16, *square16_solved,
+                                            ambient="flat", j_max=6)
+
+
 def test_audit_dirichlet_reuses_given_pencil(square16, monkeypatch):
     q = np.full(square16.num_vertices, 0.5)
-    expected, _ = audit_dirichlet(square16, potential=q, ambient="flat", j_max=4)
-    pair = dirichlet_laplacian(square16, q)
+    pair, spectrum = solved_dirichlet(square16, q, k=6)
+    expected = audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=4)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("pencil assembled again")
+        raise AssertionError("pencil assembled or solved again")
 
     monkeypatch.setattr("artifact.audit.dirichlet_laplacian", refuse)
-    records, _ = audit_dirichlet(square16, potential=q, ambient="flat", j_max=4,
-                                 pair=pair)
+    monkeypatch.setattr("artifact.audit.solve_pair", refuse)
+    records = audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=4)
     assert records == expected
 
 
 def test_audit_dirichlet_sphere_cap_sup_agreement(cap3):
-    records, _ = audit_dirichlet(cap3, ambient="sphere", j_max=4)
+    records = audit_dirichlet(cap3, *solved_dirichlet(cap3, k=6),
+                              ambient="sphere", j_max=4)
     dir_sup = {r["j"]: r["rhs"] for r in records
                if r["ineq"] == "dirichlet-potential-sup"}
     rss = {r["j"]: r["rhs"] for r in records
@@ -221,13 +264,18 @@ def test_audit_dirichlet_sphere_cap_sup_agreement(cap3):
         assert abs(dir_sup[j] - rss[j]) <= 1e-9 * scale
 
 
-def test_audit_dirichlet_errors(sphere2, square16):
-    with pytest.raises(MeshError):
-        audit_dirichlet(sphere2, ambient="flat", j_max=2)
+def test_audit_dirichlet_errors(sphere2, square16, square16_solved):
+    pair, spectrum = square16_solved
+    with pytest.raises(AuditError, match="Dirichlet pencil"):
+        audit_dirichlet(sphere2, hodge_laplacian(sphere2, 0), spectrum,
+                        ambient="flat", j_max=2)
     with pytest.raises(ValueError):
-        audit_dirichlet(square16, ambient="hyperbolic", j_max=2)
+        audit_dirichlet(square16, pair, spectrum, ambient="hyperbolic", j_max=2)
     with pytest.raises(ValueError):
-        audit_dirichlet(square16, ambient="flat", j_max=0)
+        audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=0)
+    # j_max = 7 needs 9 eigenvalues; the spectrum holds 8
+    with pytest.raises(AuditError, match="eigenvalues"):
+        audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=7)
 
 
 def test_audit_kohn_pass_rule_is_additive():
@@ -240,10 +288,12 @@ def test_audit_kohn_pass_rule_is_additive():
     assert r1["pass"]
 
 
-def test_record_schema_shared_by_all_catalogs(sphere2, square16):
-    closed, _ = audit_closed(sphere2, j_max=2)
-    dirichlet, _ = audit_dirichlet(square16, ambient="flat", j_max=2)
+def test_record_schema_shared_by_all_catalogs(sphere2, square16, sphere2_spectra,
+                                              square16_solved):
+    closed = audit_closed(sphere2, sphere2_spectra, j_max=2)
+    dirichlet = audit_dirichlet(square16, *square16_solved, ambient="flat", j_max=2)
     kohn = audit_kohn(np.array([1.0, 2.0, 2.5, 7.0]), n=2, j_max=2)
+    assert all(type(recs) is list for recs in (closed, dirichlet, kohn))
     keys = {"ineq", "p", "j", "lhs", "rhs", "slack", "pass", "terms"}
     for rec in closed + dirichlet + kohn:
         assert rec.keys() == keys
@@ -251,8 +301,9 @@ def test_record_schema_shared_by_all_catalogs(sphere2, square16):
 
 
 def test_emit_report_json_deterministic(sphere2):
-    r1, s1 = audit_closed(sphere2, j_max=3)
-    r2, s2 = audit_closed(sphere2, j_max=3)
+    s1, s2 = closed_spectra(sphere2, k=5), closed_spectra(sphere2, k=5)
+    r1 = audit_closed(sphere2, s1, j_max=3)
+    r2 = audit_closed(sphere2, s2, j_max=3)
     t1 = emit_report(r1, "sphere", 2, spectra=s1)
     t2 = emit_report(r2, "sphere", 2, spectra=s2)
     assert t1 == t2
@@ -262,11 +313,10 @@ def test_emit_report_json_deterministic(sphere2):
     assert len(payload["records"]) == 16 * 3 + 6
 
 
-def test_emit_report_csv_layout(square16, tmp_path):
-    records, spectrum = audit_dirichlet(square16, ambient="flat", j_max=3)
-    out = tmp_path / "audit.csv"
-    text = emit_report(records, "square", 16, spectra=spectrum, path=out, fmt="csv")
-    assert out.read_text() == text
+def test_emit_report_csv_layout(square16, square16_solved):
+    pair, spectrum = square16_solved
+    records = audit_dirichlet(square16, pair, spectrum, ambient="flat", j_max=3)
+    text = emit_report(records, "square", 16, spectra={0: spectrum}, fmt="csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["mesh", "refinement", "ineq", "p", "j",
                        "lhs", "rhs", "slack", "pass", "terms"]

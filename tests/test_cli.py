@@ -150,6 +150,9 @@ def test_heisenberg_command(tmp_path, capsys):
     assert payload["spectra"]["kohn"]["zero_count"] == 0
     assert main(["heisenberg", "--n", "3", "--grid", "16"]) == 1
     capsys.readouterr()
+    # an audit of no index is refused, not reported as a pass
+    assert main(["heisenberg", "--n", "1", "--grid", "16", "--j-max", "0"]) == 1
+    assert "j_max" in capsys.readouterr().err
     # odd grids are refused up front, not reported as an audit failure
     assert main(["heisenberg", "--n", "1", "--grid", "19"]) == 1
     assert "even node count" in capsys.readouterr().err
@@ -168,6 +171,22 @@ def test_lemma_check_payload(tmp_path):
     assert runs[False]["trials"] == 60
     assert runs[True]["max_relative_coupling"] <= 1e-10
     assert runs[False]["max_relative_residual"] <= 1e-9
+
+
+def test_lemma_check_refuses_empty_run(tmp_path, capsys):
+    out = tmp_path / "lemma.json"
+    for counts in (["--trials", "0", "--degenerate-trials", "0"],
+                   ["--trials", "-5", "--degenerate-trials", "2"],
+                   ["--trials", "5", "--degenerate-trials", "-1"],
+                   ["--trials", "0"]):
+        assert main(["lemma-check", *counts, "--out", str(out)]) == 1
+        assert "trial" in capsys.readouterr().err
+    assert not out.exists()
+    # degenerate trials may be switched off on their own
+    assert main(["lemma-check", "--trials", "5", "--degenerate-trials", "0",
+                 "--dim-max", "6", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [r["degenerate"] for r in payload["runs"]] == [False]
 
 
 def test_version_exits_zero(capsys):

@@ -6,8 +6,7 @@ import pytest
 from artifact.curvature import (CurvatureData, curvature_data,
                                 export_curvature_csv, gaussian_curvature,
                                 mean_curvature_vector, phi_field)
-from artifact.mesh import (clifford_torus, flat_rectangle, icosphere,
-                           surface_measures)
+from artifact.mesh import clifford_torus, flat_rectangle, icosphere
 
 SQRT2 = np.sqrt(2.0)
 
@@ -41,16 +40,14 @@ def test_sphere_irregular_vertices_documented(sphere3):
 def test_sphere_total_mean_curvature(sphere3):
     mesh = icosphere(1.0, 4)
     curv = curvature_data(mesh)
-    _, va, _ = surface_measures(mesh)
-    total = float(curv.H_norm2 @ va)
+    total = float(curv.H_norm2 @ mesh.vertex_areas)
     assert abs(total - 16.0 * np.pi) < 0.01 * 16.0 * np.pi
 
 
 def test_gauss_bonnet_exact(sphere2, torus16):
     for mesh, chi in ((sphere2, 2), (torus16, 0)):
         k = gaussian_curvature(mesh)
-        _, va, _ = surface_measures(mesh)
-        assert abs(float(k @ va) - 2.0 * np.pi * chi) < 5e-12
+        assert abs(float(k @ mesh.vertex_areas) - 2.0 * np.pi * chi) < 5e-12
 
 
 def test_torus_fields(torus32):

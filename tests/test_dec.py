@@ -37,18 +37,15 @@ def test_d1_d0_zero_on_curved(sphere2):
 
 
 def test_star0_sums_to_area(sphere2):
-    from artifact.mesh import surface_measures
     s0 = hodge_star(sphere2, 0)
-    _, _, total = surface_measures(sphere2)
+    total = sphere2.total_area
     assert abs(s0.diag.sum() - total) < 1e-12 * total
     assert s0.clamped == 0
 
 
 def test_star2_inverse_face_areas(sphere2):
-    from artifact.mesh import surface_measures
     s2 = hodge_star(sphere2, 2)
-    fa, _, _ = surface_measures(sphere2)
-    assert np.abs(s2.diag * fa - 1.0).max() < 1e-12
+    assert np.abs(s2.diag * sphere2.face_areas - 1.0).max() < 1e-12
 
 
 def test_star1_flat_grid_cotangent_values(square16):
@@ -85,7 +82,7 @@ def test_complex_assembled_once_per_mesh(monkeypatch):
                         lambda mesh: calls.append(mesh) or weights(mesh))
     mesh = icosphere(1.0, 2)  # fresh, so no earlier test has built its complex
     spectra = closed_spectra(mesh, k=4)
-    audit_closed(mesh, j_max=2, spectra=spectra)
+    audit_closed(mesh, spectra, j_max=2)
     assert len(calls) == 1 and calls[0] is mesh
     c = mesh.dec
     for array in (c.d0.data, c.d1.indices, c.stiffness0.data, c.star0.diag,

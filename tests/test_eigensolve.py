@@ -51,12 +51,12 @@ def test_generalized_uniform_mass_rescales():
         < 1e-9 * base.eigenvalues[-1]
 
 
-def test_mass_accepts_sparse_diagonal():
+def test_mass_accepts_array_like():
     n = 30
     a = dirichlet_chain(n)
     diag = np.linspace(1.0, 2.0, n)
     r1 = smallest_eigenpairs(a, mass=diag, k=4)
-    r2 = smallest_eigenpairs(a, mass=sp.diags(diag), k=4)
+    r2 = smallest_eigenpairs(a, mass=diag.tolist(), k=4)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
 
 
@@ -76,9 +76,8 @@ def test_input_validation():
         smallest_eigenpairs(sp.csr_matrix(np.ones((2, 3))))
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, mass=-np.ones(10), k=2)
-    off_diag = sp.csr_matrix(np.eye(10) + 0.5 * np.eye(10, k=1))
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(a, mass=off_diag, k=2)
+    with pytest.raises(ValueError, match="mass"):
+        smallest_eigenpairs(a, mass=np.ones(9), k=2)
 
 
 def test_mass_orthonormality_certificate(sphere2):

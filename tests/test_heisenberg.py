@@ -205,6 +205,9 @@ def test_audit_kohn_preconditions():
         audit_kohn(np.array([1.0, 2.0]), n=2, j_max=2)
     with pytest.raises(ValueError):
         audit_kohn(np.array([2.0, 1.0, 3.0]), n=1, j_max=1)
+    for j_max in (0, -3):
+        with pytest.raises(ValueError, match="j_max"):
+            audit_kohn(np.array([1.0, 2.0, 3.0]), n=1, j_max=j_max)
 
 
 def test_audit_kohn_on_computed_spectrum():

@@ -3,7 +3,7 @@ import pytest
 
 from artifact.mesh import (MeshError, TriangleMesh, clifford_torus,
                            flat_rectangle, generate, geodesic_cap, icosphere,
-                           load_mesh, save_mesh, surface_measures)
+                           load_mesh, save_mesh)
 from conftest import tetrahedron
 
 try:
@@ -54,7 +54,7 @@ def test_icosphere_vertices_on_sphere():
 
 
 def test_icosphere_area_converges():
-    _, _, area = surface_measures(icosphere(1.0, 4))
+    area = icosphere(1.0, 4).total_area
     assert abs(area - 4.0 * np.pi) / (4.0 * np.pi) < 0.005
 
 
@@ -72,7 +72,7 @@ def test_clifford_torus_shape():
 
 
 def test_clifford_torus_area(torus32):
-    _, _, area = surface_measures(torus32)
+    area = torus32.total_area
     assert abs(area - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2) < 0.01
 
 
@@ -82,8 +82,7 @@ def test_flat_rectangle_boundary():
     assert mesh.num_vertices == 9 * 5
     assert mesh.euler_characteristic == 1
     assert mesh.boundary_vertex.sum() == 2 * (8 + 4)
-    _, _, area = surface_measures(mesh)
-    assert abs(area - 2.0) < 1e-12
+    assert abs(mesh.total_area - 2.0) < 1e-12
 
 
 def test_geodesic_cap_rim(cap3):
@@ -163,7 +162,7 @@ def test_off_rejects_malformed(tmp_path):
 
 
 def test_surface_measures_consistent(sphere3):
-    fa, va, total = surface_measures(sphere3)
+    fa, va, total = sphere3.face_areas, sphere3.vertex_areas, sphere3.total_area
     assert fa.shape == (sphere3.num_faces,)
     assert va.shape == (sphere3.num_vertices,)
     assert (fa > 0).all() and (va > 0).all()
