@@ -22,18 +22,17 @@ del _os, _threads
 from .mesh import (MeshError, TriangleMesh, clifford_torus, flat_rectangle,
                    generate, geodesic_cap, icosphere, load_mesh, save_mesh)
 from .dec import (DecComplex, EigenproblemPair, HodgeStar, assert_symmetric,
-                  dirichlet_laplacian, exterior_derivative,
-                  export_matrix_market, hodge_laplacian, hodge_star)
+                  dirichlet_laplacian, exterior_derivative, hodge_laplacian,
+                  hodge_star)
 from .eigensolve import (CertificationError, EigensolveError, SpectrumResult,
                          smallest_eigenpairs, solve_pair)
 from .curvature import (CurvatureData, PhiField, curvature_data,
-                        export_curvature_csv, gaussian_curvature,
-                        mean_curvature_vector, phi_field,
+                        gaussian_curvature, mean_curvature_vector, phi_field,
                         second_fundamental_norm)
 from .commutator import (CommutatorError, degenerate_orthogonality_check,
                          lp_identity_residual, run_trials)
 from .heisenberg import (HeisenbergGrid, build_kohn_laplacian,
-                         heisenberg_grid, kohn_spectrum, reflect)
+                         heisenberg_grid, kohn_spectrum)
 from .audit import (AuditError, DensityField, audit_closed, audit_dirichlet,
                     audit_kohn, closed_spectra, discretization_allowance,
                     emit_report, integrate_against, reconstruct_density,

@@ -33,7 +33,9 @@ group H^n adds heisenberg-sum: sum_{l<=n} lam_{j+l} <= (n+2) lam_j,
 with scale lam_{j_max+n} and allowance 0.
 
 Each audit builds its records only from what it is given: the closed
-catalog reads the solved Hodge spectra (``closed_spectra``), the
+catalog reads the solved Hodge spectra (``closed_spectra``, which on a
+genus-0 mesh derives the p = 1 spectrum from the p = 0 and p = 2
+solves instead of factoring the p = 1 pencil), the
 Dirichlet catalog reads the assembled pencil, which carries its own
 potential, and its solved spectrum.  All three return a list of records.
 
@@ -57,7 +59,9 @@ import numpy as np
 from .curvature import M_DIM, curvature_data, phi_field
 # dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import solve_pair
+from .eigensolve import (DENSE_CUTOFF, CertificationError, SpectrumResult,
+                         _certify_orthonormal, _certify_residuals, _gap_shift,
+                         solve_pair)
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -254,9 +258,86 @@ def discretization_allowance(fine, coarse):
 
 
 def closed_spectra(mesh, k, tol=1e-8, seed=42):
-    """Certified spectra of the three Hodge Laplacian pencils."""
-    return {p: solve_pair(hodge_laplacian(mesh, p), k=k, tol=tol, seed=seed)
-            for p in (0, 1, 2)}
+    """Certified spectra of the three Hodge Laplacian pencils.
+
+    p = 0 and p = 2 are solved directly.  On a surface with
+    b1 = 2 - chi = 0 the p = 1 spectrum is derived from them (see
+    ``_derived_one_forms``) and certified on the assembled p = 1 pencil
+    without factoring it.  The derived values are complete only strictly
+    below the smaller of the top p = 0 and top p = 2 eigenvalues, which
+    the inertia checks of those two solves certify; if fewer than k lie
+    below it, p = 0 and p = 2 are solved once more with 2k pairs, and
+    a second shortfall raises ``CertificationError``.  Other surfaces
+    (the torus carries b1 = 2 harmonic 1-forms) solve the p = 1 pencil
+    directly.
+    """
+    pairs = {p: hodge_laplacian(mesh, p) for p in (0, 1, 2)}
+    spectra = {p: solve_pair(pairs[p], k=k, tol=tol, seed=seed) for p in (0, 2)}
+    if mesh.euler_characteristic != 2:  # b1 = 2 - chi harmonic 1-forms
+        spectra[1] = solve_pair(pairs[1], k=k, tol=tol, seed=seed)
+    else:
+        spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k, tol)
+        if spectra[1] is None:
+            wide = {p: solve_pair(pairs[p], k=_widened(2 * k, pairs[p].dim), tol=tol,
+                                  seed=seed) for p in (0, 2)}
+            spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k, tol)
+        if spectra[1] is None:
+            raise CertificationError(
+                f"fewer than k={k} derived 1-form eigenvalues lie below the "
+                "completeness bound, even from 2k pairs of p=0 and p=2")
+    return dict(sorted(spectra.items()))
+
+
+def _widened(k, dim):
+    """k capped at the most pairs ``solve_pair`` returns for dimension dim."""
+    return min(k, dim if dim <= DENSE_CUTOFF else dim - 2)
+
+
+def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
+    """The k lowest p = 1 pairs of a genus-0 mesh, mapped from p = 0 and p = 2.
+
+    With diagonal stars and d1 d0 = 0 the p = 1 pencil is the exact part
+    plus the coexact part, so each nonzero p = 0 pair (lam, u) gives
+    w = d0 u / sqrt(lam) and each nonzero p = 2 pair (lam, v) gives
+    w = star1^-1 d1^T star2 v / sqrt(lam), both star1-normalised, and
+    b1 = 0 leaves no harmonic forms.  Only values strictly below
+    min(top p = 0, top p = 2) are complete (a solve that returned its
+    whole spectrum has no top); returns None when fewer than k remain.
+    The k pairs are re-certified on ``pair1`` without factoring it.  The
+    recorded inertia shift sits where ``_verify_inertia`` would put it
+    for the values below the bound followed by the bound itself, and
+    the count below it is (nu0 - 1) + (nu2 - 1), read off the two
+    inertia-certified solves.
+    """
+    for p, spec in ((0, spec0), (2, spec2)):
+        if spec.zero_count != 1:
+            raise CertificationError(
+                f"p={p} solve counts {spec.zero_count} zero eigenvalues; deriving the "
+                "1-form spectrum needs b0 = b2 = 1 (one closed genus-0 surface)")
+    c = mesh.dec
+    lam0, lam2 = spec0.eigenvalues[1:], spec2.eigenvalues[1:]
+    exact = (c.d0 @ spec0.eigenvectors[:, 1:]) / np.sqrt(lam0)
+    coexact = (c.d1.T @ (c.star2.diag[:, None] * spec2.eigenvectors[:, 1:])) \
+        / (c.star1.diag[:, None] * np.sqrt(lam2))
+    bound = min(np.inf if len(s.eigenvalues) == s.eigenvectors.shape[0]
+                else float(s.eigenvalues[-1]) for s in (spec0, spec2))
+    union = np.concatenate([lam0, lam2])
+    order = np.argsort(union, kind="stable")
+    below = order[union[order] < bound]
+    if len(below) < k:
+        return None
+    vals = union[below[:k]]
+    vecs = np.hstack([exact, coexact])[:, below[:k]]
+    vals, vecs = _certify_orthonormal(vals, vecs, pair1.mass_diag)
+    residuals = _certify_residuals(pair1.stiffness, pair1.mass_diag, vals, vecs, tol)
+    complete = union[below]
+    # b1 = 0, so the count below any shift under the bound is (nu0 - 1) + (nu2 - 1)
+    edge = complete if np.isinf(bound) else np.append(complete, bound)
+    shift = min(_gap_shift(edge, k)[0], bound)
+    meta = {"method": "derived", "sources": (0, 2), "tol": tol,
+            "complete_below": bound, "inertia_shift": shift,
+            "inertia_count": int((complete < shift).sum())}
+    return SpectrumResult(vals, vecs, residuals, 0, meta)
 
 
 def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):

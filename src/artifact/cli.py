@@ -170,7 +170,14 @@ def _cmd_spectrum(args):
     return 0
 
 
+def _check_j_max(j_max):
+    """Refuse an audit of no index before anything is solved for it."""
+    if j_max < 1:
+        raise ValueError(f"j_max must be positive, got {j_max}")
+
+
 def _cmd_audit(args):
+    _check_j_max(args.j_max)
     family, level = _parse_fixture(args.mesh)
     mesh, suite = _build_fixture(family, level)
     if args.suite != suite:
@@ -208,6 +215,7 @@ def _cmd_audit(args):
 def _cmd_heisenberg(args):
     if args.n not in (1, 2):
         raise ValueError(f"only n in {{1, 2}} is supported, got n={args.n}")
+    _check_j_max(args.j_max)
     grid = heisenberg_grid(args.n, args.box[0], args.box[1], args.grid)
     k = max(args.k, args.j_max + args.n)
     result = kohn_spectrum(grid, k=k, tol=args.tol, seed=args.seed)

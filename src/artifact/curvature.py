@@ -15,7 +15,6 @@ persistent local overshoot even as the fields converge in the mean.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +22,7 @@ import numpy as np
 
 __all__ = ["CurvatureData", "PhiField", "mean_curvature_vector",
            "gaussian_curvature", "second_fundamental_norm",
-           "curvature_data", "phi_field", "export_curvature_csv"]
+           "curvature_data", "phi_field"]
 
 M_DIM = 2  # dimension m of the surfaces every curvature bound is stated for
 
@@ -138,14 +137,3 @@ def phi_field(curv, p):
     sup = float(np.abs(phi[curv.valid]).max())
     return PhiField(phi, sup, n_clamped)
 
-
-def export_curvature_csv(mesh, curv, path):
-    """Write vertex index, K, |H|^2, |h|^2 and phi for p = 0, 1, 2."""
-    phis = [phi_field(curv, p).values for p in (0, 1, 2)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "K", "H2", "h2", "phi0", "phi1", "phi2"])
-        for i in range(mesh.num_vertices):
-            writer.writerow([i] + [repr(float(col[i])) for col in
-                                   (curv.K, curv.H_norm2, curv.h_norm2,
-                                    phis[0], phis[1], phis[2])])

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .mesh import MeshError
 
@@ -30,7 +29,6 @@ __all__ = [
     "hodge_laplacian",
     "dirichlet_laplacian",
     "assert_symmetric",
-    "export_matrix_market",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -232,9 +230,3 @@ def dirichlet_laplacian(mesh, potential=None):
     a = _symmetrized(a)
     assert_symmetric(a, what="dirichlet laplacian")
     return EigenproblemPair(a.tocsr(), mass, 0, True, interior, q_int)
-
-
-def export_matrix_market(a, path):
-    """Write a sparse operator in Matrix Market coordinate format."""
-    sym = "symmetric" if (abs(a - a.T)).nnz == 0 else "general"
-    mmwrite(str(path), sp.coo_matrix(a), symmetry=sym)

@@ -256,6 +256,21 @@ def _certify_residuals(a, m_diag, vals, vecs, tol):
     return residuals
 
 
+def _gap_shift(vals, k):
+    """lambda' in the widest gap among ascending ``vals`` at or beyond index
+    k, and a quarter of that gap as the step for moving it; just past
+    vals[-1] when no gap there is wider than 1e-8 of the spectrum's scale.
+    """
+    scale = max(abs(float(vals[-1])), float(vals[-1] - vals[0]), 1.0)
+    tail = vals[k - 1:]
+    if len(tail) > 1:
+        gaps = np.diff(tail)
+        widest = int(np.argmax(gaps))
+        if gaps[widest] > 1e-8 * scale:
+            return float(tail[widest] + tail[widest + 1]) / 2.0, float(gaps[widest]) / 4.0
+    return float(vals[-1]) + 1e-6 * scale, 1e-7 * scale
+
+
 def _verify_inertia(a, m, vals, k):
     """Count pencil eigenvalues below lambda' by LDU diagonal signs.
 
@@ -264,16 +279,7 @@ def _verify_inertia(a, m, vals, k):
     below it unless the iteration actually missed one -- which is
     exactly what the count detects.
     """
-    scale = max(abs(float(vals[-1])), float(vals[-1] - vals[0]), 1.0)
-    tail = vals[k - 1:]
-    base = float(vals[-1]) + 1e-6 * scale
-    half = 1e-7 * scale
-    if len(tail) > 1:
-        gaps = np.diff(tail)
-        widest = int(np.argmax(gaps))
-        if gaps[widest] > 1e-8 * scale:
-            base = float(tail[widest] + tail[widest + 1]) / 2.0
-            half = float(gaps[widest]) / 4.0
+    base, half = _gap_shift(vals, k)
     for attempt in range(4):
         lam = base + half * attempt / 4.0
         lu = _factor_symmetric((a - lam * m).tocsc())

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .eigensolve import (CertificationError, SpectrumResult, _certify_orthonormal,
                          _certify_residuals, _zero_count, smallest_eigenpairs)
 
-__all__ = ["HeisenbergGrid", "heisenberg_grid", "reflect", "parity_blocks",
+__all__ = ["HeisenbergGrid", "heisenberg_grid", "parity_blocks",
            "build_kohn_laplacian", "kohn_spectrum"]
 
 
@@ -90,21 +90,6 @@ def heisenberg_grid(n, a, T, g):
     time_ax = np.linspace(-T, T, g)[1:-1]
     axes = tuple([spatial.copy() for _ in range(2 * n)] + [time_ax])
     return HeisenbergGrid(n, float(a), float(T), int(g), axes)
-
-
-def reflect(grid):
-    """The grid of the reflected box (x, y, t) -> (-x, -y, -t).
-
-    The box is symmetric, so the reflected grid has the same nodes and
-    the spectrum on it must match; the reflected coordinate arrays are
-    rebuilt (negated and reversed) so the assembly arithmetic genuinely
-    differs in floating point.  The point reflection is not a symmetry
-    of the discrete sublaplacian: at g = 16 the largest entry of
-    P L P^T - L is 0.38 of the largest entry of L.  The symmetry that
-    swaps its parity blocks is the map S of ``parity_blocks``.
-    """
-    axes = tuple(np.ascontiguousarray(-ax[::-1]) for ax in grid.axes)
-    return HeisenbergGrid(grid.n, grid.a, grid.T, grid.g, axes)
 
 
 def _axis_operator(sizes, k, mat):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import artifact.cli
 from artifact.cli import main
 from artifact.mesh import load_mesh
 
@@ -156,6 +157,22 @@ def test_heisenberg_command(tmp_path, capsys):
     # odd grids are refused up front, not reported as an audit failure
     assert main(["heisenberg", "--n", "1", "--grid", "19"]) == 1
     assert "even node count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--n", "1", "--grid", "32", "--j-max", "0"],
+    ["audit", "--mesh", "icosphere4", "--suite", "closed", "--j-max", "0"],
+    ["audit", "--mesh", "square32", "--suite", "dirichlet", "--j-max", "-1"],
+])
+def test_j_max_refused_before_solving(monkeypatch, capsys, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("built or solved a pencil for an empty audit")
+
+    for name in ("generate", "heisenberg_grid", "kohn_spectrum", "closed_spectra",
+                 "solve_pair"):
+        monkeypatch.setattr(artifact.cli, name, never)
+    assert main(argv) == 1
+    assert "j_max must be positive" in capsys.readouterr().err
 
 
 def test_lemma_check_payload(tmp_path):

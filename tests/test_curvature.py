@@ -1,10 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from artifact.curvature import (CurvatureData, curvature_data,
-                                export_curvature_csv, gaussian_curvature,
+from artifact.curvature import (CurvatureData, curvature_data, gaussian_curvature,
                                 mean_curvature_vector, phi_field)
 from artifact.mesh import clifford_torus, flat_rectangle, icosphere
 
@@ -147,17 +144,3 @@ def test_mean_curvature_vector_torus_direction(torus16):
     v = p * SQRT2
     other = np.column_stack([v[:, 0], v[:, 1], -v[:, 2], -v[:, 3]])
     assert np.abs(np.einsum("ij,ij->i", h, other)).max() < 1e-9
-
-
-def test_csv_export_roundtrip(tmp_path, sphere2):
-    curv = curvature_data(sphere2)
-    path = tmp_path / "curv.csv"
-    export_curvature_csv(sphere2, curv, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["vertex", "K", "H2", "h2", "phi0", "phi1", "phi2"]
-    assert len(rows) == 1 + sphere2.num_vertices
-    k_back = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(k_back, curv.K)
-    phi2_back = np.array([float(r[6]) for r in rows[1:]])
-    assert np.array_equal(phi2_back, phi_field(curv, 2).values)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -8,7 +7,7 @@ import artifact.dec
 from artifact.audit import audit_closed, closed_spectra
 from artifact.dec import (EigenproblemPair, assert_symmetric,
                           dirichlet_laplacian, exterior_derivative,
-                          export_matrix_market, hodge_laplacian, hodge_star)
+                          hodge_laplacian, hodge_star)
 from artifact.eigensolve import solve_pair
 from artifact.mesh import MeshError, flat_rectangle, icosphere
 
@@ -185,11 +184,3 @@ def test_assert_symmetric_raises():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         assert_symmetric(a)
-
-
-def test_export_matrix_market_roundtrip(tmp_path, tetra):
-    pair = hodge_laplacian(tetra, 0)
-    path = tmp_path / "stiff.mtx"
-    export_matrix_market(pair.stiffness, path)
-    back = scipy.io.mmread(path).tocsr()
-    assert np.abs((back - pair.stiffness)).max() < 1e-15

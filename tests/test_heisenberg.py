@@ -5,8 +5,22 @@ import scipy.sparse as sp
 from artifact.audit import audit_kohn
 from artifact.eigensolve import _factor_symmetric, smallest_eigenpairs
 from artifact.heisenberg import (HeisenbergGrid, build_kohn_laplacian,
-                                 heisenberg_grid, kohn_spectrum,
-                                 parity_blocks, reflect)
+                                 heisenberg_grid, kohn_spectrum, parity_blocks)
+
+
+def reflect(grid):
+    """The grid of the reflected box (x, y, t) -> (-x, -y, -t).
+
+    The box is symmetric, so the reflected grid has the same nodes and
+    the spectrum on it must match; the reflected coordinate arrays are
+    rebuilt (negated and reversed) so the assembly arithmetic genuinely
+    differs in floating point.  The point reflection is not a symmetry
+    of the discrete sublaplacian (see
+    ``test_point_reflection_is_not_a_symmetry``); the symmetry that
+    swaps its parity blocks is the map S of ``parity_blocks``.
+    """
+    axes = tuple(np.ascontiguousarray(-ax[::-1]) for ax in grid.axes)
+    return HeisenbergGrid(grid.n, grid.a, grid.T, grid.g, axes)
 
 
 def independent_fields(grid):
