@@ -99,8 +99,7 @@ def cluster_slices(vals, gap):
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
-                        check_psd=True):
+def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     """k smallest eigenpairs of A x = lambda M x with certificates.
 
     Parameters
@@ -121,6 +120,9 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
         factorized directly (Dirichlet problems); otherwise
         sigma = -1e-6 trace(A)/dim keeps the factorization away from a
         possible kernel.
+
+    A must be positive semi-definite: lambda_1 < -1e-9 ||A||_inf raises
+    CertificationError.
 
     Returns
     -------
@@ -161,11 +163,8 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
                     raise
         if extra:
             meta["inertia_recovered"] = True
-    if check_psd:
-        norm_a = spla.norm(a, np.inf)
-        if vals[0] < -1e-9 * norm_a:
-            raise CertificationError(
-                f"operator expected PSD but lambda_1 = {vals[0]:.3e}")
+    if vals[0] < -1e-9 * spla.norm(a, np.inf):
+        raise CertificationError(f"operator expected PSD but lambda_1 = {vals[0]:.3e}")
     result_vals = vals[:k].copy()
     result_vecs = vecs[:, :k].copy()
     return SpectrumResult(result_vals, result_vecs, residuals[:k].copy(),

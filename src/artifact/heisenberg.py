@@ -12,9 +12,12 @@ not elliptic (the t direction is reached only through the commutator
 
 Discretization: uniform tensor grid on [-a, a]^(2n) x [-T, T], centered
 first differences with exterior nodes dropped (zero boundary values),
-multiplication coefficients frozen at the row node.  The assembled
-operator is symmetrized and positive semi-definite by construction.
-The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
+multiplication coefficients frozen at the row node.  Every axis is
+exactly antisymmetric and the operator is assembled term by term, so
+the axis reversals and the swap S that commute with the continuous
+sublaplacian hold bitwise on the matrix; ``kohn_spectrum`` certifies
+them and solves four symmetry sectors of one parity block.  The
+eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
 
@@ -26,10 +29,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolve import (CertificationError, SpectrumResult, _certify_orthonormal,
-                         _certify_residuals, _zero_count, smallest_eigenpairs)
+                         _certify_residuals, _gap_shift, _zero_count, smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "parity_blocks",
            "build_kohn_laplacian", "kohn_spectrum"]
+
+CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,10 @@ class HeisenbergGrid:
     ``g`` is the node count per axis including the two boundary nodes,
     so each interior array has g - 2 entries.  ``g`` must be even: on an
     odd grid the centered differences leave an exact checkerboard null
-    mode, so the discrete operator is singular.  Each x_i axis must equal
-    its y_i axis, so that the swap S of ``kohn_spectrum`` maps the grid
-    onto itself.
+    mode, so the discrete operator is singular.  Each axis must be
+    exactly antisymmetric (``ax[::-1] == -ax`` bitwise) and each x_i
+    axis must equal its y_i axis, so that the reflections and the swap S
+    of ``kohn_spectrum`` map the grid onto itself.
     """
 
     n: int
@@ -70,6 +76,10 @@ class HeisenbergGrid:
                 raise ValueError("each axis must be a strictly increasing array of g - 2 nodes")
             if np.abs(steps - steps[0]).max() > 1e-12 * abs(steps[0]):
                 raise ValueError("axis spacing must be uniform")
+            if not np.array_equal(ax[::-1], -ax):
+                raise ValueError("each axis must be exactly antisymmetric (ax[::-1] == -ax "
+                                 "bitwise): the reflections x -> -x, y -> -y, t -> -t of "
+                                 "the symmetry sectors and of the swap S need it")
         for i in range(self.n):
             if not np.array_equal(self.axes[i], self.axes[self.n + i]):
                 raise ValueError(f"axes x_{i + 1} and y_{i + 1} must be equal")
@@ -85,52 +95,70 @@ class HeisenbergGrid:
 
 
 def heisenberg_grid(n, a, T, g):
-    """Grid for the box [-a, a]^(2n) x [-T, T] with g nodes per axis."""
-    spatial = np.linspace(-a, a, g)[1:-1]
-    time_ax = np.linspace(-T, T, g)[1:-1]
+    """Grid for the box [-a, a]^(2n) x [-T, T] with g nodes per axis.
+
+    Interior node i of an axis of half-width w sits at h (i - (g - 3)/2)
+    with h = 2w/(g - 1); the offsets are exact half-integers, so the
+    axis is exactly antisymmetric.
+    """
+    offsets = np.arange(g - 2) - (g - 3) / 2.0
+    spatial = (2.0 * a / (g - 1)) * offsets
+    time_ax = (2.0 * T / (g - 1)) * offsets
     axes = tuple([spatial.copy() for _ in range(2 * n)] + [time_ax])
     return HeisenbergGrid(n, float(a), float(T), int(g), axes)
 
 
-def _axis_operator(sizes, k, mat):
-    """Kronecker embedding of ``mat`` acting on axis k of the tensor grid."""
+def _kron(sizes, factors):
+    """Kronecker product over the tensor axes: ``factors[k]`` on axis k,
+    the identity elsewhere, multiplied in axis order."""
     out = None
     for ax, m in enumerate(sizes):
-        factor = mat if ax == k else sp.identity(m, format="csr")
+        factor = factors.get(ax, sp.identity(m, format="csr"))
         out = factor if out is None else sp.kron(out, factor, format="csr")
     return out
 
 
-def _coordinate_field(grid, k):
-    """Coordinate of axis k at every node, in lexicographic node order."""
-    sizes = [len(ax) for ax in grid.axes]
-    shape = [1] * len(sizes)
-    shape[k] = sizes[k]
-    return np.broadcast_to(grid.axes[k].reshape(shape), sizes).ravel()
-
-
 def build_kohn_laplacian(grid):
-    """Assemble the Kohn sublaplacian as a symmetric sparse matrix."""
+    """Assemble the Kohn sublaplacian as a symmetric sparse matrix.
+
+    X_i^T X_i + Y_i^T Y_i is expanded into eight Kronecker terms whose
+    coefficients commute with their difference operators.  Each entry is
+    a product of 1-D entries taken in axis order, and the terms are
+    summed in pairs that S exchanges,
+
+        ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty)),
+
+    so S and the axis reversals map the sum onto itself bitwise, and the
+    sum is exactly symmetric.
+    """
     sizes = [len(ax) for ax in grid.axes]
     steps = grid.spacings
     n = grid.n
 
-    def centered(m, h):
-        off = np.full(m - 1, 1.0 / (2.0 * h))
+    def centered(k):
+        off = np.full(sizes[k] - 1, 1.0 / (2.0 * steps[k]))
         return sp.diags([off, -off], [1, -1], format="csr")
 
-    d_t = _axis_operator(sizes, 2 * n, centered(sizes[2 * n], steps[2 * n]))
+    t = 2 * n
+    d_t = centered(t)
+    dtt = (d_t.T @ d_t).tocsr()
     lap = None
     for i in range(n):
-        y_half = _coordinate_field(grid, n + i) / 2.0
-        x_half = _coordinate_field(grid, i) / 2.0
-        x_field = _axis_operator(sizes, i, centered(sizes[i], steps[i])) \
-            + sp.diags(y_half) @ d_t
-        y_field = _axis_operator(sizes, n + i, centered(sizes[n + i], steps[n + i])) \
-            - sp.diags(x_half) @ d_t
-        term = x_field.T @ x_field + y_field.T @ y_field
+        x, y = i, n + i
+        d_x, d_y = centered(x), centered(y)
+        x_half = sp.diags(grid.axes[x] / 2.0, format="csr")
+        y_half = sp.diags(grid.axes[y] / 2.0, format="csr")
+        xx = _kron(sizes, {x: (d_x.T @ d_x).tocsr()})
+        yy = _kron(sizes, {y: (d_y.T @ d_y).tocsr()})
+        tty = _kron(sizes, {y: y_half @ y_half, t: dtt})
+        ttx = _kron(sizes, {x: x_half @ x_half, t: dtt})
+        xt = _kron(sizes, {x: d_x.T.tocsr(), y: y_half, t: d_t})
+        tx = _kron(sizes, {x: d_x, y: y_half, t: d_t.T.tocsr()})
+        yt = _kron(sizes, {x: x_half, y: d_y.T.tocsr(), t: d_t})
+        ty = _kron(sizes, {x: x_half, y: d_y, t: d_t.T.tocsr()})
+        term = ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty))
         lap = term if lap is None else lap + term
-    return ((lap + lap.T) * 0.5).tocsr()
+    return lap.tocsr()
 
 
 def parity_blocks(grid):
@@ -152,17 +180,43 @@ def parity_blocks(grid):
     return parity, even, swap[even]
 
 
+def _block_reflection(grid, even, axes):
+    """Even-block positions of the images of the even nodes when ``axes``
+    are reversed."""
+    m = grid.g - 2
+    shape = (m,) * (2 * grid.n + 1)
+    flip = tuple(slice(None, None, -1) if k in axes else slice(None)
+                 for k in range(len(shape)))
+    image = np.arange(m ** len(shape)).reshape(shape)[flip].ravel()[even]
+    return np.searchsorted(even, image)
+
+
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
     Centered differences decouple the operator L into an even and an
     odd parity block, and S (see ``parity_blocks``) commutes with L and
-    swaps them, so the blocks are exactly similar.  Both facts are
-    checked on the assembled matrix; then only the even block is
-    solved, and each of its pairs (lambda, u) gives two full-space
-    pairs: u on the even nodes, and u moved by S onto the odd nodes.
-    The k full-space pairs are re-certified on L, and the inertia count
-    of the block is doubled.
+    swaps them, so the blocks are exactly similar.  Two commuting axis
+    reversals F and G map the even block onto itself without fixing a
+    node, so its orbits of four nodes split it into four sectors, one
+    per character (chi_F, chi_G), each with a quarter of the unknowns.  All of these facts are checked bitwise on
+    the assembled matrix; a failure raises ``CertificationError``.
+
+    Each sector operator A[r, c] = sum_g chi(g) B[r, g c] over the orbit
+    representatives r, c is solved for ceil(k/2) pairs.  The smallest
+    sector top bounds the merged list from above, and at least ceil(k/2)
+    merged values lie at or below it, so the ceil(k/2) lowest merged
+    values are the lowest of the block.  Each pair (lambda, u) is lifted
+    to the block with entries chi(g) u[c] / 2 on the orbit of c, then
+    gives two full-space pairs: that vector on the even nodes, and its
+    image under S on the odd nodes.  The k full-space pairs are
+    re-certified on L.
+
+    ``meta`` holds ``parity_block``, ``block_dim`` (the even block's
+    size), ``sectors`` (character, dimension, shift sigma, inertia shift
+    and count of each sector solve), ``complete_below`` (the smallest
+    sector top), and ``inertia_shift`` and ``inertia_count``: the count
+    of L below that shift, twice the merged values below it.
     """
     lap = build_kohn_laplacian(grid)
     parity, even, image = parity_blocks(grid)
@@ -172,15 +226,53 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     block = lap[even][:, even]
     if (block != lap[image][:, image]).nnz:
         raise CertificationError("Kohn parity blocks are not exchanged by S")
-    half = smallest_eigenpairs(block, None, k=(k + 1) // 2, tol=tol, seed=seed,
-                               definite=True)
-    vecs = np.zeros((lap.shape[0], 2 * len(half.eigenvalues)))
-    vecs[even, 0::2] = half.eigenvectors
-    vecs[image, 1::2] = half.eigenvectors
-    vals = np.repeat(half.eigenvalues, 2)[:k]
+    # F and G reverse (x, t) and (y, t) when n = 1; for n >= 2 only the
+    # half turns of the (x_1, y_1) and (x_2, y_2) planes commute with L.
+    # Each reverses two axes of even length, so it keeps the parity and
+    # fixes no node, and neither does their product.
+    n = grid.n
+    gens = ((0, 2), (1, 2)) if n == 1 else ((0, n), (1, n + 1))
+    refl_f, refl_g = (_block_reflection(grid, even, axes) for axes in gens)
+    for axes, refl in zip(gens, (refl_f, refl_g)):
+        if (block[refl][:, refl] != block).nnz:
+            raise CertificationError(f"Kohn parity block is not invariant under the "
+                                     f"reflection of axes {axes}")
+    refl_fg = refl_f[refl_g]
+    nodes = np.arange(len(even))
+    reps = np.flatnonzero((nodes < refl_f) & (nodes < refl_g) & (nodes < refl_fg))
+    orbit = (reps, refl_f[reps], refl_g[reps], refl_fg[reps])
+    rows = block[reps]
+    k_s = (k + 1) // 2
+    values, lifted, sectors = [], [], []
+    for chi_f, chi_g in CHARACTERS:
+        signs = (1, chi_f, chi_g, chi_f * chi_g)
+        op = rows[:, orbit[0]]
+        for sign, cols in zip(signs[1:], orbit[1:]):
+            op = op + sign * rows[:, cols]
+        res = smallest_eigenpairs(op, None, k=k_s, tol=tol, seed=seed, definite=True)
+        lift = np.zeros((len(even), k_s))
+        for sign, cols in zip(signs, orbit):
+            lift[cols] = 0.5 * sign * res.eigenvectors
+        values.append(res.eigenvalues)
+        lifted.append(lift)
+        sectors.append({"character": (chi_f, chi_g), "dim": len(reps),
+                        "sigma": res.meta["sigma"], "inertia_shift": res.meta["inertia_shift"],
+                        "inertia_count": res.meta["inertia_count"]})
+    merged = np.concatenate(values)
+    pick = np.argsort(merged, kind="stable")[:k_s]
+    half = np.hstack(lifted)[:, pick]
+    vecs = np.zeros((lap.shape[0], 2 * k_s))
+    vecs[even, 0::2] = half
+    vecs[image, 1::2] = half
+    vals = np.repeat(merged[pick], 2)[:k]
     ones = np.ones(lap.shape[0])
     vals, vecs = _certify_orthonormal(vals, vecs[:, :k], ones)
     residuals = _certify_residuals(lap, ones, vals, vecs, tol)
-    meta = {**half.meta, "parity_block": True, "block_dim": len(even),
-            "inertia_count": 2 * half.meta["inertia_count"]}
+    bound = min(float(v[-1]) for v in values)
+    complete = np.sort(merged[merged < bound])
+    shift = min(_gap_shift(np.append(complete, bound), k_s)[0], bound)
+    meta = {"method": "sectors", "tol": tol, "seed": seed, "parity_block": True,
+            "block_dim": len(even), "sectors": sectors, "complete_below": bound,
+            "inertia_checked": True, "inertia_shift": shift,
+            "inertia_count": 2 * int((complete < shift).sum())}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)

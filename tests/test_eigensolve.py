@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from artifact.dec import hodge_laplacian
 from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
-                                 _verify_inertia, smallest_eigenpairs,
-                                 solve_pair)
+                                 _certify_orthonormal, _certify_residuals,
+                                 _solve_dense, _verify_inertia,
+                                 smallest_eigenpairs, solve_pair)
 
 
 def dirichlet_chain(n):
@@ -147,8 +148,6 @@ def test_psd_check_raises_on_indefinite():
     a = sp.diags(np.arange(-1.0, 9.0)).tocsr()
     with pytest.raises(CertificationError, match="PSD"):
         smallest_eigenpairs(a, k=3)
-    res = smallest_eigenpairs(a, k=3, check_psd=False)
-    assert abs(res.eigenvalues[0] + 1.0) < 1e-12
 
 
 def test_seeded_determinism_bitwise():
@@ -181,7 +180,13 @@ def test_dense_path_matches_reference(dim, data_seed):
     rng = np.random.default_rng(data_seed)
     b = rng.standard_normal((dim, dim))
     a = sp.csr_matrix(b + b.T)
-    res = smallest_eigenpairs(a, k=dim, check_psd=False)
+    # an indefinite matrix, so the certified parts of the dense path are
+    # called directly instead of the PSD-checking solver
+    ones = np.ones(dim)
+    vals, vecs, _ = _solve_dense(a, ones, dim)
+    vals, vecs = _certify_orthonormal(vals, vecs, ones)
+    residuals = _certify_residuals(a, ones, vals, vecs, 1e-8)
     ref = np.linalg.eigvalsh(b + b.T)
     scale = max(np.abs(ref).max(), 1.0)
-    assert np.abs(res.eigenvalues - ref).max() < 1e-9 * scale
+    assert np.abs(vals - ref).max() < 1e-9 * scale
+    assert residuals.max() <= 1e-8

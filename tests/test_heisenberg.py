@@ -2,40 +2,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from artifact import heisenberg
 from artifact.audit import audit_kohn
-from artifact.eigensolve import _factor_symmetric, smallest_eigenpairs
+from artifact.eigensolve import CertificationError, _factor_symmetric, smallest_eigenpairs
 from artifact.heisenberg import (HeisenbergGrid, build_kohn_laplacian,
                                  heisenberg_grid, kohn_spectrum, parity_blocks)
 
 
-def reflect(grid):
-    """The grid of the reflected box (x, y, t) -> (-x, -y, -t).
-
-    The box is symmetric, so the reflected grid has the same nodes and
-    the spectrum on it must match; the reflected coordinate arrays are
-    rebuilt (negated and reversed) so the assembly arithmetic genuinely
-    differs in floating point.  The point reflection is not a symmetry
-    of the discrete sublaplacian (see
-    ``test_point_reflection_is_not_a_symmetry``); the symmetry that
-    swaps its parity blocks is the map S of ``parity_blocks``.
-    """
-    axes = tuple(np.ascontiguousarray(-ax[::-1]) for ax in grid.axes)
-    return HeisenbergGrid(grid.n, grid.a, grid.T, grid.g, axes)
-
-
-def independent_fields(grid):
-    """Rebuild the horizontal fields from scratch (kron chain per axis)."""
+def independent_ops(grid):
+    """1-D pieces and the tensor embedding, rebuilt from dense arrays."""
     sizes = [len(ax) for ax in grid.axes]
-    n = grid.n
 
-    def centered(m, h):
-        off = np.full(m - 1, 1.0 / (2.0 * h))
-        return sp.diags([off, -off], [1, -1], format="csr")
+    def centered(k):
+        m = sizes[k]
+        dense = (np.eye(m, k=1) - np.eye(m, k=-1)) * (1.0 / (2.0 * grid.spacings[k]))
+        return sp.csr_matrix(dense)
 
-    def lift(k, mat):
+    def lift(factors):
         out = None
         for ax, m in enumerate(sizes):
-            f = mat if ax == k else sp.identity(m, format="csr")
+            f = factors.get(ax, sp.identity(m, format="csr"))
             out = f if out is None else sp.kron(out, f, format="csr")
         return out
 
@@ -44,15 +30,59 @@ def independent_fields(grid):
         shape[k] = sizes[k]
         return np.broadcast_to(grid.axes[k].reshape(shape), sizes).ravel()
 
-    d_t = lift(2 * n, centered(sizes[-1], grid.spacings[-1]))
+    return centered, lift, coord
+
+
+def independent_fields(grid):
+    """Rebuild the horizontal fields from scratch (kron chain per axis)."""
+    centered, lift, coord = independent_ops(grid)
+    n = grid.n
+    d_t = lift({2 * n: centered(2 * n)})
     fields = []
     for i in range(n):
-        x_op = lift(i, centered(sizes[i], grid.spacings[i])) \
-            + sp.diags(coord(n + i) / 2.0) @ d_t
-        y_op = lift(n + i, centered(sizes[n + i], grid.spacings[n + i])) \
-            - sp.diags(coord(i) / 2.0) @ d_t
+        x_op = lift({i: centered(i)}) + sp.diags(coord(n + i) / 2.0) @ d_t
+        y_op = lift({n + i: centered(n + i)}) - sp.diags(coord(i) / 2.0) @ d_t
         fields.append((x_op, y_op))
     return fields, coord
+
+
+def eight_term_sum(grid):
+    """X_i^T X_i + Y_i^T Y_i expanded into Kronecker terms, each entry a
+    product of 1-D entries in axis order, summed in S-partner pairs."""
+    centered, lift, _ = independent_ops(grid)
+    n = grid.n
+    t = 2 * n
+    d_t = centered(t)
+    lap = None
+    for i in range(n):
+        x, y = i, n + i
+        d_x, d_y = centered(x), centered(y)
+        x_half = sp.csr_matrix(np.diag(grid.axes[x] / 2.0))
+        y_half = sp.csr_matrix(np.diag(grid.axes[y] / 2.0))
+        dtt = sp.csr_matrix(d_t.toarray().T @ d_t.toarray())
+        xx = lift({x: sp.csr_matrix(d_x.toarray().T @ d_x.toarray())})
+        yy = lift({y: sp.csr_matrix(d_y.toarray().T @ d_y.toarray())})
+        tty = lift({y: sp.csr_matrix(np.diag((grid.axes[y] / 2.0) ** 2)), t: dtt})
+        ttx = lift({x: sp.csr_matrix(np.diag((grid.axes[x] / 2.0) ** 2)), t: dtt})
+        xt = lift({x: sp.csr_matrix(d_x.toarray().T), y: y_half, t: d_t})
+        tx = lift({x: d_x, y: y_half, t: sp.csr_matrix(d_t.toarray().T)})
+        yt = lift({x: x_half, y: sp.csr_matrix(d_y.toarray().T), t: d_t})
+        ty = lift({x: x_half, y: d_y, t: sp.csr_matrix(d_t.toarray().T)})
+        term = ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty))
+        lap = term if lap is None else lap + term
+    return lap.tocsr()
+
+
+def reversal(n, g, axes, swap=False):
+    """Node permutation reversing ``axes``, after exchanging every x_i
+    axis with its y_i axis when ``swap`` is set."""
+    m = g - 2
+    idx = np.arange(m ** (2 * n + 1)).reshape((m,) * (2 * n + 1))
+    if swap:
+        idx = idx.transpose([*range(n, 2 * n), *range(n), 2 * n])
+    flip = tuple(slice(None, None, -1) if k in axes else slice(None)
+                 for k in range(2 * n + 1))
+    return idx[flip].ravel()
 
 
 def test_grid_validation():
@@ -64,7 +94,7 @@ def test_grid_validation():
         heisenberg_grid(1, 1.0, 1.0, 17)  # checkerboard null mode
     with pytest.raises(ValueError):
         heisenberg_grid(1, -1.0, 1.0, 16)
-    ax = np.linspace(-1, 1, 16)[1:-1]
+    ax = heisenberg_grid(1, 1.0, 1.0, 16).axes[0]
     with pytest.raises(ValueError):
         HeisenbergGrid(1, 1.0, 1.0, 16, (ax, ax))  # one axis short
     warped = np.sign(ax) * np.abs(ax) ** 1.1
@@ -72,6 +102,12 @@ def test_grid_validation():
         HeisenbergGrid(1, 1.0, 1.0, 16, (ax, ax, warped))  # non-uniform
     with pytest.raises(ValueError, match="x_1 and y_1"):
         HeisenbergGrid(1, 1.0, 1.0, 16, (ax, 1.5 * ax, ax))  # S needs x = y
+    shifted = ax + 0.01
+    with pytest.raises(ValueError, match="antisymmetric"):
+        HeisenbergGrid(1, 1.0, 1.0, 16, (ax, ax, shifted))  # reflections need -t = t[::-1]
+    for g in (16, 18, 24, 32, 48):
+        axis = heisenberg_grid(1, 1.0, 1.0, g).axes[0]
+        assert np.array_equal(axis[::-1], -axis)
 
 
 def test_grid_geometry():
@@ -95,15 +131,16 @@ def test_operator_exactly_symmetric_and_positive():
 
 
 def test_matches_independent_assembly():
-    grid = heisenberg_grid(1, 0.8, 1.2, 16)
-    fields, _ = independent_fields(grid)
-    lap = None
-    for x_op, y_op in fields:
-        term = x_op.T @ x_op + y_op.T @ y_op
-        lap = term if lap is None else lap + term
-    lap = ((lap + lap.T) * 0.5).tocsr()
-    dev = (build_kohn_laplacian(grid) - lap).tocoo()
-    assert dev.nnz == 0 or np.abs(dev.data).max() == 0.0
+    for n in (1, 2):
+        grid = heisenberg_grid(n, 0.8, 1.2, 16)
+        lap = build_kohn_laplacian(grid)
+        dev = (lap - eight_term_sum(grid)).tocoo()
+        assert dev.nnz == 0 or np.abs(dev.data).max() == 0.0
+        # the fields product sums the same terms in another order
+        fields, _ = independent_fields(grid)
+        prod = sum(x_op.T @ x_op + y_op.T @ y_op for x_op, y_op in fields)
+        scale = abs(lap).max()
+        assert abs(lap - prod).max() <= 4.0 * np.finfo(float).eps * scale
 
 
 def test_discrete_commutator_is_minus_dt():
@@ -124,13 +161,44 @@ def test_discrete_commutator_is_minus_dt():
     assert np.abs(out[mask] + 1.0).max() < 1e-12
 
 
-def test_reflection_spectrum_invariant():
+@pytest.mark.parametrize("n, g", [(1, 16), (1, 18), (2, 16)])
+def test_reflections_are_exact_symmetries(n, g):
+    # S, and the parity-preserving reversals F = {x, t}, G = {y, t}
+    # (n = 1) or H_1 = {x_1, y_1}, H_2 = {x_2, y_2} (n = 2), commute with
+    # L bitwise
+    lap = build_kohn_laplacian(heisenberg_grid(n, 1.0, 1.0, g))
+    dim = lap.shape[0]
+    reversed_axes = [(0, 2), (1, 2)] if n == 1 else [(0, 2), (1, 3)]
+    perms = [reversal(n, g, (2 * n,), swap=True)]
+    perms += [reversal(n, g, axes) for axes in reversed_axes]
+    for perm in perms:
+        p = sp.csr_matrix((np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim))
+        assert (p @ lap @ p.T != lap).nnz == 0
+
+
+def test_broken_reflection_is_refused(monkeypatch):
+    # perturb one entry of the even block that F moves, with its
+    # transpose and their S images, so the matrix stays symmetric and S
+    # still holds: only the reflection check can see it
     grid = heisenberg_grid(1, 1.0, 1.0, 16)
-    flipped = reflect(grid)
-    assert flipped.axes[0][0] == -grid.axes[0][-1]
-    v1 = kohn_spectrum(grid, k=6).eigenvalues
-    v2 = kohn_spectrum(flipped, k=6).eigenvalues
-    assert np.abs(v1 - v2).max() < 1e-10 * v1[-1]
+    build = heisenberg.build_kohn_laplacian
+
+    def tampered(grid):
+        lap = build(grid).tolil()
+        parity, even, image = parity_blocks(grid)
+        swap = np.empty(len(parity), dtype=int)
+        swap[even], swap[image] = image, even
+        flip = reversal(1, grid.g, (0, 2))
+        r = int(even[len(even) // 3])
+        c = int(np.flatnonzero(lap.getrow(r).toarray()[0])[-1])
+        assert {flip[r], flip[c]} != {r, c} and parity[c] == parity[r] == 0
+        for row, col in ((r, c), (c, r), (swap[r], swap[c]), (swap[c], swap[r])):
+            lap[row, col] *= 1.0 + 1e-12
+        return lap.tocsr()
+
+    monkeypatch.setattr(heisenberg, "build_kohn_laplacian", tampered)
+    with pytest.raises(CertificationError, match="reflection"):
+        kohn_spectrum(grid, k=4)
 
 
 def test_domain_monotonicity():
@@ -182,18 +250,36 @@ def test_point_reflection_is_not_a_symmetry():
     assert dev > 0.3
 
 
-def test_parity_block_matches_full_operator():
+def test_parity_block_matches_full_operator(monkeypatch):
+    solved = []
+    solve = heisenberg.smallest_eigenpairs
+
+    def recording(a, *args, **kwargs):
+        solved.append((a, kwargs["k"]))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(heisenberg, "smallest_eigenpairs", recording)
     grid = heisenberg_grid(1, 1.0, 1.0, 24)
     res = kohn_spectrum(grid, k=12)
     lap = build_kohn_laplacian(grid)
     full = smallest_eigenpairs(lap, None, k=12, definite=True)
     assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
-    assert res.meta["block_dim"] == lap.shape[0] // 2
-    # Sylvester count of the full operator below the block's inertia shift
-    lu = _factor_symmetric((lap - res.meta["inertia_shift"] * sp.identity(
+    meta = res.meta
+    assert meta["block_dim"] == lap.shape[0] // 2
+    # four sector solves of a quarter block each, on exactly symmetric
+    # operators, each for ceil(k/2) pairs
+    assert len(solved) == len(meta["sectors"]) == 4
+    assert {s["character"] for s in meta["sectors"]} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    for (a, k_s), sector in zip(solved, meta["sectors"]):
+        assert a.shape[0] == sector["dim"] == meta["block_dim"] // 4
+        assert (a != a.T).nnz == 0 and k_s == 6
+    assert res.eigenvalues[-1] <= meta["complete_below"]
+    assert meta["inertia_shift"] <= meta["complete_below"]
+    # Sylvester count of the full operator below the merged inertia shift
+    lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert int((lu.U.diagonal() < 0).sum()) == res.meta["inertia_count"]
+    assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"]
     assert res.eigenvectors.shape == (lap.shape[0], 12)
     assert res.zero_count == full.zero_count == 0
 
