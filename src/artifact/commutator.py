@@ -14,6 +14,8 @@ implementation of each is correct, not a tautology.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .eigensolve import cluster_slices
@@ -52,32 +54,35 @@ def _rotate_blocks(vecs, g_mat, blocks):
             vecs[:, cl] = block @ rot
 
 
-def _adapted_eigh(l_mat, g_mat):
-    """Eigendecomposition of L with degenerate spaces rotated to diagonalize G."""
+class _Adapted(NamedTuple):
+    """What both checks need of one (L, G) pair: G, the eigendecomposition
+    of L with its degenerate ``blocks`` (gap ``delta``) rotated to
+    diagonalize G, [L, G] and ||G||_2."""
+
+    g_mat: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+    blocks: list
+    delta: float
+    comm: np.ndarray
+    norm_g: float
+
+
+def _adapt(l_mat, g_mat):
+    l_mat = _check_symmetric(l_mat, "L")
+    g_mat = _check_symmetric(g_mat, "G")
     vals, vecs = np.linalg.eigh(l_mat)
     spread = vals[-1] - vals[0]
     delta = DEGENERACY_REL * (spread if spread > 0 else 1.0)
     blocks = cluster_slices(vals, delta)
     _rotate_blocks(vecs, g_mat, blocks)
-    return vals, vecs, blocks, delta
-
-
-def lp_identity_residual(l_mat, g_mat):
-    """Per-index residual of the commutator identity, and the natural scale.
-
-    Returns ``(residuals, scale)`` where ``residuals[j]`` is the absolute
-    difference of the two sides for eigenvector j and ``scale`` is
-    ||L||_2 ||G||_2^2, the size of the terms being cancelled.  Raises
-    CommutatorError if a cross term inside a degenerate eigenspace
-    exceeds the orthogonality tolerance even after re-adaptation.
-    """
-    l_mat = _check_symmetric(l_mat, "L")
-    g_mat = _check_symmetric(g_mat, "G")
-
-    vals, vecs, blocks, delta = _adapted_eigh(l_mat, g_mat)
     comm = l_mat @ g_mat - g_mat @ l_mat
+    return _Adapted(g_mat, vals, vecs, blocks, delta, comm, float(np.linalg.norm(g_mat, 2)))
+
+
+def _identity_residual(adapted):
+    g_mat, vals, vecs, blocks, delta, comm, norm_g = adapted
     norm_l = float(np.abs(vals).max()) if len(vals) else 0.0
-    norm_g = float(np.linalg.norm(g_mat, 2))
     num_tol = ORTHOGONALITY_REL * max(norm_l * norm_g, 1e-300)
     gaps = vals[None, :] - vals[:, None]
     degenerate = np.abs(gaps) <= delta
@@ -94,6 +99,8 @@ def lp_identity_residual(l_mat, g_mat):
                 f"{num_tol:.3e} after eigenspace adaptation")
         # Re-adapt once from the current basis: recomputing the compression
         # of G against the already-rotated block polishes roundoff drift.
+        # On a copy: the coupling check reads the first-adapted basis.
+        vecs = vecs.copy()
         _rotate_blocks(vecs, g_mat, blocks)
 
     weights = np.where(degenerate, 0.0, b_mat ** 2 / np.where(degenerate, 1.0, gaps))
@@ -106,24 +113,36 @@ def lp_identity_residual(l_mat, g_mat):
     return np.abs(lhs - rhs), scale
 
 
+def _max_coupling(adapted):
+    worst = 0.0
+    for cl in adapted.blocks:
+        if cl.stop - cl.start > 1:
+            block = adapted.vecs[:, cl]
+            cross = block.T @ adapted.comm @ block
+            np.fill_diagonal(cross, 0.0)
+            worst = max(worst, float(np.abs(cross).max()))
+    return worst
+
+
+def lp_identity_residual(l_mat, g_mat):
+    """Per-index residual of the commutator identity, and the natural scale.
+
+    Returns ``(residuals, scale)`` where ``residuals[j]`` is the absolute
+    difference of the two sides for eigenvector j and ``scale`` is
+    ||L||_2 ||G||_2^2, the size of the terms being cancelled.  Raises
+    CommutatorError if a cross term inside a degenerate eigenspace
+    exceeds the orthogonality tolerance even after re-adaptation.
+    """
+    return _identity_residual(_adapt(l_mat, g_mat))
+
+
 def degenerate_orthogonality_check(l_mat, g_mat):
     """Largest commutator cross term within any degenerate eigenspace.
 
     After adaptation this must vanish to roundoff; the contract is
     max <= 1e-10 ||L|| ||G||.
     """
-    l_mat = _check_symmetric(l_mat, "L")
-    g_mat = _check_symmetric(g_mat, "G")
-    vals, vecs, blocks, _ = _adapted_eigh(l_mat, g_mat)
-    comm = l_mat @ g_mat - g_mat @ l_mat
-    worst = 0.0
-    for cl in blocks:
-        if cl.stop - cl.start > 1:
-            block = vecs[:, cl]
-            cross = block.T @ comm @ block
-            np.fill_diagonal(cross, 0.0)
-            worst = max(worst, float(np.abs(cross).max()))
-    return worst
+    return _max_coupling(_adapt(l_mat, g_mat))
 
 
 def _random_symmetric(rng, dim):
@@ -161,13 +180,15 @@ def run_trials(n_trials, dim_min=2, dim_max=30, seed=0, degenerate=False):
         dim = int(rng.integers(dim_min, dim_max + 1))
         l_mat = (_random_degenerate if degenerate else _random_symmetric)(rng, dim)
         g_mat = _random_symmetric(rng, dim)
-        residuals, scale = lp_identity_residual(l_mat, g_mat)
+        adapted = _adapt(l_mat, g_mat)
+        residuals, scale = _identity_residual(adapted)
         record = {"trial": trial, "dim": dim, "degenerate": bool(degenerate),
                   "max_residual": float(residuals.max()), "scale": scale}
         if degenerate:
-            vals = np.linalg.eigvalsh(l_mat)
-            record["max_coupling"] = degenerate_orthogonality_check(l_mat, g_mat)
-            record["coupling_scale"] = float(
-                max(np.abs(vals).max() * np.linalg.norm(g_mat, 2), 1e-300))
+            # ||L|| from eigvalsh, as the coupling scale is defined; the
+            # adapted eigh's values differ from it in the last bits.
+            norm_l = np.abs(np.linalg.eigvalsh(l_mat)).max()
+            record["max_coupling"] = _max_coupling(adapted)
+            record["coupling_scale"] = float(max(norm_l * adapted.norm_g, 1e-300))
         records.append(record)
     return records

@@ -73,11 +73,20 @@ def _mass_matrix(mass, dim):
 
 def _factor_symmetric(k_csc):
     """No-pivot symmetric-mode LDU; valid for inertia only when the row and
-    column permutations agree."""
+    column permutations agree.
+
+    Every factorization of the solver goes through here.  ``relax=1``
+    turns off relaxed supernodes: SuperLU would otherwise merge small
+    elimination subtrees that share no rows into dense supernodes and
+    store their explicit zeros, which triples the stored entries of the
+    hierarchically numbered icosphere p=0 pencils and slows every solve
+    with them.  Pencils without such subtrees factor the same either way.
+    """
     return spla.splu(
         k_csc,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
+        relax=1,
         options=dict(SymmetricMode=True),
     )
 
@@ -127,6 +136,10 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     Returns
     -------
     SpectrumResult
+        On the iterative path ``meta`` holds the shift ``sigma``, the
+        inertia shift and count, and ``factor_nnz`` and ``inertia_nnz``:
+        the entries SuperLU stores for the shift factorization and for
+        the inertia factorization that certified the result.
     """
     a = sp.csr_matrix(a)
     dim = a.shape[0]
@@ -199,6 +212,7 @@ def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
                 raise EigensolveError(
                     f"factorization failed after {retries - 1} shift retries: {exc}")
             sigma = -1e-6 * float(a.diagonal().sum()) / dim * 10.0 ** retries
+    factor_nnz = int(lu.nnz)
     op_inv = spla.LinearOperator(a.shape, matvec=lu.solve)
     try:
         vals, vecs = spla.eigsh(a, k=k_solve, M=m_op, sigma=sigma, OPinv=op_inv,
@@ -214,7 +228,7 @@ def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order], {
         "method": "shift-invert", "sigma": sigma, "retries": retries,
-        "k_solve": k_solve}
+        "k_solve": k_solve, "factor_nnz": factor_nnz}
 
 
 def _certify_orthonormal(vals, vecs, m_diag):
@@ -284,6 +298,7 @@ def _verify_inertia(a, m, vals, k):
         lu = _factor_symmetric((a - lam * m).tocsc())
         perm_ok = np.array_equal(lu.perm_r, lu.perm_c)
         diag = lu.U.diagonal()
+        nnz = int(lu.nnz)
         del lu
         if perm_ok and diag.min() != 0.0 and np.isfinite(diag).all():
             negative = int((diag < 0).sum())
@@ -293,7 +308,7 @@ def _verify_inertia(a, m, vals, k):
                     f"inertia count {negative} at lambda'={lam!r} does not match "
                     f"{expected} computed eigenvalues: missed cluster members")
             return {"inertia_checked": True, "inertia_count": negative,
-                    "inertia_shift": lam}
+                    "inertia_shift": lam, "inertia_nnz": nnz}
     raise CertificationError("inertia factorization kept pivoting; count unavailable")
 
 

@@ -214,7 +214,8 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
 
     ``meta`` holds ``parity_block``, ``block_dim`` (the even block's
     size), ``sectors`` (character, dimension, shift sigma, inertia shift
-    and count of each sector solve), ``complete_below`` (the smallest
+    and count, and the stored entries of the shift and inertia factors
+    of each sector solve), ``complete_below`` (the smallest
     sector top), and ``inertia_shift`` and ``inertia_count``: the count
     of L below that shift, twice the merged values below it.
     """
@@ -257,7 +258,9 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
         lifted.append(lift)
         sectors.append({"character": (chi_f, chi_g), "dim": len(reps),
                         "sigma": res.meta["sigma"], "inertia_shift": res.meta["inertia_shift"],
-                        "inertia_count": res.meta["inertia_count"]})
+                        "inertia_count": res.meta["inertia_count"],
+                        "factor_nnz": res.meta["factor_nnz"],
+                        "inertia_nnz": res.meta["inertia_nnz"]})
     merged = np.concatenate(values)
     pick = np.argsort(merged, kind="stable")[:k_s]
     half = np.hstack(lifted)[:, pick]

@@ -273,6 +273,9 @@ def test_parity_block_matches_full_operator(monkeypatch):
     for (a, k_s), sector in zip(solved, meta["sectors"]):
         assert a.shape[0] == sector["dim"] == meta["block_dim"] // 4
         assert (a != a.T).nnz == 0 and k_s == 6
+        # sigma = 0 and lambda' shift the same pattern: equal stored entries
+        assert sector["factor_nnz"] == _factor_symmetric(sp.csc_matrix(a)).nnz
+        assert sector["inertia_nnz"] == sector["factor_nnz"]
     assert res.eigenvalues[-1] <= meta["complete_below"]
     assert meta["inertia_shift"] <= meta["complete_below"]
     # Sylvester count of the full operator below the merged inertia shift
