@@ -59,9 +59,7 @@ import numpy as np
 from .curvature import M_DIM, curvature_data, phi_field
 # dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import (DENSE_CUTOFF, CertificationError, SpectrumResult,
-                         _certify_orthonormal, _certify_residuals, _gap_shift,
-                         solve_pair)
+from .eigensolve import DENSE_CUTOFF, CertificationError, merged_eigenpairs, solve_pair
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -263,11 +261,11 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
     p = 0 and p = 2 are solved directly.  On a surface with
     b1 = 2 - chi = 0 the p = 1 spectrum is derived from them (see
     ``_derived_one_forms``) and certified on the assembled p = 1 pencil
-    without factoring it.  The derived values are complete only strictly
-    below the smaller of the top p = 0 and top p = 2 eigenvalues, which
-    the inertia checks of those two solves certify; if fewer than k lie
-    below it, p = 0 and p = 2 are solved once more with 2k pairs, and
-    a second shortfall raises ``CertificationError``.  Other surfaces
+    without factoring it.  The derived values are complete at and below
+    the smaller of the top p = 0 and top p = 2 eigenvalues, which the
+    inertia checks of those two solves certify; if the k-th lies above
+    it, p = 0 and p = 2 are solved once more with 2k pairs, and a second
+    shortfall raises ``CertificationError``.  Other surfaces
     (the torus carries b1 = 2 harmonic 1-forms) solve the p = 1 pencil
     directly.
     """
@@ -300,14 +298,13 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
     plus the coexact part, so each nonzero p = 0 pair (lam, u) gives
     w = d0 u / sqrt(lam) and each nonzero p = 2 pair (lam, v) gives
     w = star1^-1 d1^T star2 v / sqrt(lam), both star1-normalised, and
-    b1 = 0 leaves no harmonic forms.  Only values strictly below
-    min(top p = 0, top p = 2) are complete (a solve that returned its
-    whole spectrum has no top); returns None when fewer than k remain.
-    The k pairs are re-certified on ``pair1`` without factoring it.  The
-    recorded inertia shift sits where ``_verify_inertia`` would put it
-    for the values below the bound followed by the bound itself, and
-    the count below it is (nu0 - 1) + (nu2 - 1), read off the two
-    inertia-certified solves.
+    b1 = 0 leaves no harmonic forms.  ``merged_eigenpairs`` takes the k
+    lowest mapped pairs, bounded by the top p = 0 and p = 2 eigenvalues
+    (a solve that returned its whole spectrum has no top), and
+    re-certifies them on ``pair1`` without factoring it; it returns None
+    when the k-th lies above the bound.  Since b1 = 0 the inertia count
+    below any shift under the bound is (nu0 - 1) + (nu2 - 1), read off
+    the two inertia-certified solves.
     """
     for p, spec in ((0, spec0), (2, spec2)):
         if spec.zero_count != 1:
@@ -316,28 +313,21 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
                 "1-form spectrum needs b0 = b2 = 1 (one closed genus-0 surface)")
     c = mesh.dec
     lam0, lam2 = spec0.eigenvalues[1:], spec2.eigenvalues[1:]
-    exact = (c.d0 @ spec0.eigenvectors[:, 1:]) / np.sqrt(lam0)
-    coexact = (c.d1.T @ (c.star2.diag[:, None] * spec2.eigenvectors[:, 1:])) \
-        / (c.star1.diag[:, None] * np.sqrt(lam2))
-    bound = min(np.inf if len(s.eigenvalues) == s.eigenvectors.shape[0]
-                else float(s.eigenvalues[-1]) for s in (spec0, spec2))
-    union = np.concatenate([lam0, lam2])
-    order = np.argsort(union, kind="stable")
-    below = order[union[order] < bound]
-    if len(below) < k:
-        return None
-    vals = union[below[:k]]
-    vecs = np.hstack([exact, coexact])[:, below[:k]]
-    vals, vecs = _certify_orthonormal(vals, vecs, pair1.mass_diag)
-    residuals = _certify_residuals(pair1.stiffness, pair1.mass_diag, vals, vecs, tol)
-    complete = union[below]
-    # b1 = 0, so the count below any shift under the bound is (nu0 - 1) + (nu2 - 1)
-    edge = complete if np.isinf(bound) else np.append(complete, bound)
-    shift = min(_gap_shift(edge, k)[0], bound)
-    meta = {"method": "derived", "sources": (0, 2), "tol": tol,
-            "complete_below": bound, "inertia_shift": shift,
-            "inertia_count": int((complete < shift).sum())}
-    return SpectrumResult(vals, vecs, residuals, 0, meta)
+
+    def exact(idx):
+        return (c.d0 @ spec0.eigenvectors[:, 1 + idx]) / np.sqrt(lam0[idx])
+
+    def coexact(idx):
+        return (c.d1.T @ (c.star2.diag[:, None] * spec2.eigenvectors[:, 1 + idx])) \
+            / (c.star1.diag[:, None] * np.sqrt(lam2[idx]))
+
+    tops = [np.inf if len(s.eigenvalues) == s.eigenvectors.shape[0]
+            else float(s.eigenvalues[-1]) for s in (spec0, spec2)]
+    result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag,
+                               list(zip((lam0, lam2), tops, (exact, coexact))), k, tol)
+    if result is not None:
+        result.meta.update(method="derived", sources=(0, 2))
+    return result
 
 
 def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):

@@ -8,6 +8,9 @@ carries a residual certificate re-verified by an independent matvec;
 the count of eigenvalues below max(lambda) is cross-checked against the
 inertia of (A - lambda' M) from a no-pivot symmetric LDU factorization,
 which guards against silently missed members of clusters.
+``merged_eigenpairs`` assembles the k lowest pairs of a pencil from
+certified solves of its invariant subspaces and certifies them the same
+way, without factoring the pencil.
 """
 
 from __future__ import annotations
@@ -21,18 +24,13 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
-           "smallest_eigenpairs", "solve_pair"]
+           "smallest_eigenpairs", "merged_eigenpairs", "solve_pair"]
 
 DENSE_CUTOFF = 64
 
 
 class EigensolveError(RuntimeError):
-    """Factorization failure or non-convergence; carries partial results."""
-
-    def __init__(self, message, converged_values=None, failing_index=None):
-        super().__init__(message)
-        self.converged_values = converged_values
-        self.failing_index = failing_index
+    """Factorization failure, non-convergence or a failed residual bound."""
 
 
 class CertificationError(EigensolveError):
@@ -218,11 +216,9 @@ def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
         vals, vecs = spla.eigsh(a, k=k_solve, M=m_op, sigma=sigma, OPinv=op_inv,
                                 which="LM", v0=v0, tol=0, ncv=ncv)
     except ArpackNoConvergence as exc:
-        got = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else None
-        n_ok = 0 if got is None else len(got)
+        n_ok = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
         raise EigensolveError(
-            f"Lanczos did not converge: {n_ok}/{k_solve} pairs",
-            converged_values=got, failing_index=n_ok) from exc
+            f"Lanczos did not converge: {n_ok}/{k_solve} pairs") from exc
     finally:
         del op_inv, lu  # free the factorization before any inertia factorization
     order = np.argsort(vals, kind="stable")
@@ -264,8 +260,7 @@ def _certify_residuals(a, m_diag, vals, vecs, tol):
     worst = int(np.argmax(residuals))
     if residuals[worst] > tol:
         raise EigensolveError(
-            f"residual certificate failed at pair {worst}: {residuals[worst]:.3e} > {tol:.1e}",
-            converged_values=vals, failing_index=worst)
+            f"residual certificate failed at pair {worst}: {residuals[worst]:.3e} > {tol:.1e}")
     return residuals
 
 
@@ -310,6 +305,49 @@ def _verify_inertia(a, m, vals, k):
             return {"inertia_checked": True, "inertia_count": negative,
                     "inertia_shift": lam, "inertia_nnz": nnz}
     raise CertificationError("inertia factorization kept pivoting; count unavailable")
+
+
+def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
+    """The k lowest pairs of A x = lambda M x from solves of invariant subspaces.
+
+    ``parts`` holds one ``(values, top, lift)`` per subspace: its
+    ascending computed values; ``top``, at or below every value its
+    solve did not compute (``inf`` when the solve returned the whole
+    subspace spectrum); and ``lift``, which maps an index array,
+    possibly empty, to the full-space vectors of those values as
+    columns.  No uncomputed value lies below the smallest top, so when
+    the k-th lowest value of the union is at or below it the k lowest
+    values are the pencil's k lowest; otherwise returns None.  Only the
+    chosen columns are lifted, and the k pairs are re-certified
+    (M-orthonormality and residuals) on (A, M).
+
+    ``meta`` holds ``complete_below`` (the smallest top) and the count
+    ``inertia_count`` of pencil eigenvalues below ``inertia_shift``,
+    placed where ``_verify_inertia`` would put it for the union values
+    strictly below the bound followed by the bound itself.
+    """
+    m_diag = _mass_matrix(mass, a.shape[0])[1]
+    values, tops, lifts = zip(*parts)
+    union = np.concatenate(values)
+    bound = min(tops)
+    order = np.argsort(union, kind="stable")
+    ranked = union[order]
+    if len(union) < k or ranked[k - 1] > bound:
+        return None
+    pick = order[:k]
+    chosen = np.sort(pick)
+    starts = np.cumsum([0, *map(len, values)])
+    vecs = np.hstack([lift(chosen[(chosen >= lo) & (chosen < hi)] - lo)
+                      for lift, lo, hi in zip(lifts, starts[:-1], starts[1:])])
+    vecs = vecs[:, np.searchsorted(chosen, pick)]
+    vals, vecs = _certify_orthonormal(ranked[:k], vecs, m_diag)
+    residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
+    complete = ranked[ranked < bound]
+    edge = complete if np.isinf(bound) else np.append(complete, bound)
+    shift = min(_gap_shift(edge, k)[0], bound)
+    meta = {"tol": tol, "complete_below": bound, "inertia_checked": True,
+            "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
+    return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
 
 
 def solve_pair(pair, k, tol=1e-8, seed=42):

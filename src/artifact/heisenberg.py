@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import (CertificationError, SpectrumResult, _certify_orthonormal,
-                         _certify_residuals, _gap_shift, _zero_count, smallest_eigenpairs)
+from .eigensolve import CertificationError, merged_eigenpairs, smallest_eigenpairs
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "parity_blocks",
            "build_kohn_laplacian", "kohn_spectrum"]
@@ -191,6 +190,17 @@ def _block_reflection(grid, even, axes):
     return np.searchsorted(even, image)
 
 
+def _orbit_lift(u, signs, orbit, nodes, dim):
+    """Lift of sector vectors ``u``: entries sign * u[c] / 2 on the nodes
+    ``nodes[cols]`` of each orbit, zero elsewhere in the full space."""
+    def lift(idx):
+        out = np.zeros((dim, len(idx)))
+        for sign, cols in zip(signs, orbit):
+            out[nodes[cols]] = 0.5 * sign * u[:, idx]
+        return out
+    return lift
+
+
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
@@ -199,25 +209,24 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     swaps them, so the blocks are exactly similar.  Two commuting axis
     reversals F and G map the even block onto itself without fixing a
     node, so its orbits of four nodes split it into four sectors, one
-    per character (chi_F, chi_G), each with a quarter of the unknowns.  All of these facts are checked bitwise on
-    the assembled matrix; a failure raises ``CertificationError``.
+    per character (chi_F, chi_G), each with a quarter of the unknowns.
+    All of these facts are checked bitwise on the assembled matrix; a
+    failure raises ``CertificationError``.
 
     Each sector operator A[r, c] = sum_g chi(g) B[r, g c] over the orbit
-    representatives r, c is solved for ceil(k/2) pairs.  The smallest
-    sector top bounds the merged list from above, and at least ceil(k/2)
-    merged values lie at or below it, so the ceil(k/2) lowest merged
-    values are the lowest of the block.  Each pair (lambda, u) is lifted
-    to the block with entries chi(g) u[c] / 2 on the orbit of c, then
-    gives two full-space pairs: that vector on the even nodes, and its
-    image under S on the odd nodes.  The k full-space pairs are
-    re-certified on L.
+    representatives r, c is solved for ceil(k/2) pairs.  A sector pair
+    (lambda, u) lifts to the even block with entries chi(g) u[c] / 2 on
+    the orbit of c, and so to two invariant subspaces of L: that vector
+    on the even nodes, and its image under S on the odd nodes.
+    ``merged_eigenpairs`` takes the k lowest of these eight subspaces'
+    pairs, bounded by the smallest sector top, which the ceil(k/2)
+    values of each sector always reach, and re-certifies them on L.
 
     ``meta`` holds ``parity_block``, ``block_dim`` (the even block's
-    size), ``sectors`` (character, dimension, shift sigma, inertia shift
-    and count, and the stored entries of the shift and inertia factors
-    of each sector solve), ``complete_below`` (the smallest
-    sector top), and ``inertia_shift`` and ``inertia_count``: the count
-    of L below that shift, twice the merged values below it.
+    size), ``sectors`` (each sector solve's own ``meta`` with its
+    character and dimension), ``complete_below`` (the smallest sector
+    top), and ``inertia_shift`` and ``inertia_count``: the count of L
+    below that shift, twice the sector values below it.
     """
     lap = build_kohn_laplacian(grid)
     parity, even, image = parity_blocks(grid)
@@ -243,39 +252,18 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     reps = np.flatnonzero((nodes < refl_f) & (nodes < refl_g) & (nodes < refl_fg))
     orbit = (reps, refl_f[reps], refl_g[reps], refl_fg[reps])
     rows = block[reps]
-    k_s = (k + 1) // 2
-    values, lifted, sectors = [], [], []
+    parts, sectors = [], []
     for chi_f, chi_g in CHARACTERS:
         signs = (1, chi_f, chi_g, chi_f * chi_g)
         op = rows[:, orbit[0]]
         for sign, cols in zip(signs[1:], orbit[1:]):
             op = op + sign * rows[:, cols]
-        res = smallest_eigenpairs(op, None, k=k_s, tol=tol, seed=seed, definite=True)
-        lift = np.zeros((len(even), k_s))
-        for sign, cols in zip(signs, orbit):
-            lift[cols] = 0.5 * sign * res.eigenvectors
-        values.append(res.eigenvalues)
-        lifted.append(lift)
-        sectors.append({"character": (chi_f, chi_g), "dim": len(reps),
-                        "sigma": res.meta["sigma"], "inertia_shift": res.meta["inertia_shift"],
-                        "inertia_count": res.meta["inertia_count"],
-                        "factor_nnz": res.meta["factor_nnz"],
-                        "inertia_nnz": res.meta["inertia_nnz"]})
-    merged = np.concatenate(values)
-    pick = np.argsort(merged, kind="stable")[:k_s]
-    half = np.hstack(lifted)[:, pick]
-    vecs = np.zeros((lap.shape[0], 2 * k_s))
-    vecs[even, 0::2] = half
-    vecs[image, 1::2] = half
-    vals = np.repeat(merged[pick], 2)[:k]
-    ones = np.ones(lap.shape[0])
-    vals, vecs = _certify_orthonormal(vals, vecs[:, :k], ones)
-    residuals = _certify_residuals(lap, ones, vals, vecs, tol)
-    bound = min(float(v[-1]) for v in values)
-    complete = np.sort(merged[merged < bound])
-    shift = min(_gap_shift(np.append(complete, bound), k_s)[0], bound)
-    meta = {"method": "sectors", "tol": tol, "seed": seed, "parity_block": True,
-            "block_dim": len(even), "sectors": sectors, "complete_below": bound,
-            "inertia_checked": True, "inertia_shift": shift,
-            "inertia_count": 2 * int((complete < shift).sum())}
-    return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
+        res = smallest_eigenpairs(op, None, k=(k + 1) // 2, tol=tol, seed=seed, definite=True)
+        parts += [(res.eigenvalues, float(res.eigenvalues[-1]),
+                   _orbit_lift(res.eigenvectors, signs, orbit, half, lap.shape[0]))
+                  for half in (even, image)]
+        sectors.append({**res.meta, "character": (chi_f, chi_g), "dim": len(reps)})
+    result = merged_eigenpairs(lap, None, parts, k, tol)
+    result.meta.update(method="sectors", seed=seed, parity_block=True,
+                       block_dim=len(even), sectors=sectors)
+    return result

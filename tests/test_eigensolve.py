@@ -13,8 +13,8 @@ from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
                                  _certify_orthonormal, _certify_residuals,
                                  _factor_symmetric, _solve_dense,
-                                 _verify_inertia, smallest_eigenpairs,
-                                 solve_pair)
+                                 _verify_inertia, merged_eigenpairs,
+                                 smallest_eigenpairs, solve_pair)
 from artifact.mesh import icosphere
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -195,6 +195,57 @@ def test_splu_called_only_by_factor_symmetric():
     assert total == inside == 1
 
 
+def test_no_module_imports_private_eigensolve_names():
+    # Spectra are selected and certified inside eigensolve only.
+    for path in sorted((SRC / "artifact").glob("*.py")):
+        if path.name == "eigensolve.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private = [alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   and (n.module or "").split(".")[-1] == "eigensolve"
+                   for alias in n.names if alias.name.startswith("_")]
+        assert not private, (path.name, private)
+
+
+def test_merged_eigenpairs_of_two_dirichlet_chains():
+    # Each chain of the block-diagonal pencil is an invariant subspace.
+    # The coarser chain's j-th value lies below the finer one's, so the
+    # union interleaves them, and the smallest top is the coarse chain's.
+    sizes, k_part = (90, 120), 4
+    a = sp.block_diag([dirichlet_chain(n) for n in sizes], format="csr")
+    dim = sum(sizes)
+
+    def part(block):
+        res = smallest_eigenpairs(dirichlet_chain(sizes[block]), k=k_part, definite=True)
+        lo = sizes[0] * block
+
+        def lift(idx):
+            out = np.zeros((dim, len(idx)))
+            out[lo:lo + sizes[block]] = res.eigenvectors[:, idx]
+            return out
+        return res.eigenvalues, float(res.eigenvalues[-1]), lift
+
+    parts = [part(0), part(1)]
+    exact = np.sort(np.concatenate([chain_oracle(n, k_part) for n in sizes]))
+    bound = parts[0][1]
+    merged = merged_eigenpairs(a, None, parts, 6, tol=1e-8)
+    assert np.abs(merged.eigenvalues - exact[:6]).max() < 1e-10 * exact[5]
+    assert merged.residuals.max() < 1e-8 and merged.zero_count == 0
+    assert merged.meta["complete_below"] == bound
+    # Sylvester count of the pencil below the recorded shift
+    shift = merged.meta["inertia_shift"]
+    assert merged.eigenvalues[-1] < shift < bound
+    lu = _factor_symmetric((a - shift * sp.identity(dim, format="csr")).tocsc())
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert int((lu.U.diagonal() < 0).sum()) == merged.meta["inertia_count"] == 6
+    # the 7th value is the coarse chain's top itself: complete, accepted
+    at_bound = merged_eigenpairs(a, None, parts, 7, tol=1e-8)
+    assert at_bound.eigenvalues[-1] == bound
+    assert np.abs(at_bound.eigenvalues - exact[:7]).max() < 1e-10 * exact[6]
+    # the 8th lies above it, where the coarse chain's 5th value may hide
+    assert merged_eigenpairs(a, None, parts, 8, tol=1e-8) is None
+
+
 def test_inertia_detects_missed_duplicate():
     a = sp.diags([1.0, 1.0, 2.0, 5.0]).tocsr()
     m = sp.identity(4, format="csr")
@@ -236,8 +287,6 @@ def test_result_json_shape():
 
 def test_error_type_hierarchy():
     assert issubclass(CertificationError, EigensolveError)
-    err = EigensolveError("x", converged_values=np.ones(2), failing_index=1)
-    assert err.failing_index == 1
 
 
 @settings(max_examples=25, deadline=None)
