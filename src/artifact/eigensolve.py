@@ -324,7 +324,10 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     ``meta`` holds ``complete_below`` (the smallest top) and the count
     ``inertia_count`` of pencil eigenvalues below ``inertia_shift``,
     placed where ``_verify_inertia`` would put it for the union values
-    strictly below the bound followed by the bound itself.
+    strictly below the bound followed by the bound itself.  When that
+    is not below the bound (no wide gap at or past the k-th value), the
+    shift goes to the middle of the last gap below the bound, so that it
+    never lands on a computed eigenvalue.
     """
     m_diag = _mass_matrix(mass, a.shape[0])[1]
     values, tops, lifts = zip(*parts)
@@ -344,7 +347,10 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
     complete = ranked[ranked < bound]
     edge = complete if np.isinf(bound) else np.append(complete, bound)
-    shift = min(_gap_shift(edge, k)[0], bound)
+    shift = _gap_shift(edge, k)[0]
+    if shift >= bound:
+        lower = complete[-1] if complete.size else bound - max(abs(bound), 1.0)
+        shift = (float(lower) + bound) / 2.0
     meta = {"tol": tol, "complete_below": bound, "inertia_checked": True,
             "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)

@@ -242,6 +242,11 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     at_bound = merged_eigenpairs(a, None, parts, 7, tol=1e-8)
     assert at_bound.eigenvalues[-1] == bound
     assert np.abs(at_bound.eigenvalues - exact[:7]).max() < 1e-10 * exact[6]
+    # its inertia shift sits in the last gap below the bound, off the spectrum
+    shift = at_bound.meta["inertia_shift"]
+    assert at_bound.eigenvalues[-2] < shift < bound
+    lu = _factor_symmetric((a - shift * sp.identity(dim, format="csr")).tocsc())
+    assert int((lu.U.diagonal() < 0).sum()) == at_bound.meta["inertia_count"] == 6
     # the 8th lies above it, where the coarse chain's 5th value may hide
     assert merged_eigenpairs(a, None, parts, 8, tol=1e-8) is None
 

@@ -85,6 +85,29 @@ def reversal(n, g, axes, swap=False):
     return idx[flip].ravel()
 
 
+def twisted_swap(n, g):
+    """T: (x_i, y_i, t) -> (y_i, x_i, t) with the sign (-1)^l on t-index l,
+    as a signed permutation matrix."""
+    m = g - 2
+    dim = m ** (2 * n + 1)
+    sign = 1.0 - 2.0 * (np.arange(dim) % m % 2)
+    return sp.csr_matrix((sign, (reversal(n, g, (), swap=True), np.arange(dim))),
+                         shape=(dim, dim))
+
+
+def sector_basis(grid, chi):
+    """Orthonormal orbit sums of the even block for the character
+    chi = (chi_F, chi_G) of F = {x, t} and G = {y, t} (n = 1)."""
+    _, even, _ = parity_blocks(grid)
+    f, g = (np.searchsorted(even, reversal(1, grid.g, axes)[even]) for axes in ((0, 2), (1, 2)))
+    nodes = np.arange(len(even))
+    reps = nodes[(nodes < f) & (nodes < g) & (nodes < f[g])]
+    data = np.repeat([0.5, 0.5 * chi[0], 0.5 * chi[1], 0.5 * chi[0] * chi[1]], len(reps))
+    return sp.csr_matrix((data, (np.concatenate([reps, f[reps], g[reps], f[g][reps]]),
+                                 np.tile(np.arange(len(reps)), 4))),
+                         shape=(len(even), len(reps)))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         heisenberg_grid(0, 1.0, 1.0, 16)
@@ -163,17 +186,21 @@ def test_discrete_commutator_is_minus_dt():
 
 @pytest.mark.parametrize("n, g", [(1, 16), (1, 18), (2, 16)])
 def test_reflections_are_exact_symmetries(n, g):
-    # S, and the parity-preserving reversals F = {x, t}, G = {y, t}
-    # (n = 1) or H_1 = {x_1, y_1}, H_2 = {x_2, y_2} (n = 2), commute with
-    # L bitwise
+    # S, the parity-preserving reversals F = {x, t}, G = {y, t} (n = 1)
+    # or H_1 = {x_1, y_1}, H_2 = {x_2, y_2} (n = 2), and the twisted
+    # swap T commute with L bitwise
     lap = build_kohn_laplacian(heisenberg_grid(n, 1.0, 1.0, g))
     dim = lap.shape[0]
     reversed_axes = [(0, 2), (1, 2)] if n == 1 else [(0, 2), (1, 3)]
     perms = [reversal(n, g, (2 * n,), swap=True)]
     perms += [reversal(n, g, axes) for axes in reversed_axes]
-    for perm in perms:
-        p = sp.csr_matrix((np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim))
+    maps = [sp.csr_matrix((np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim))
+            for perm in perms]
+    for p in maps + [twisted_swap(n, g)]:
         assert (p @ lap @ p.T != lap).nnz == 0
+    # T F T = -G when n = 1; T commutes with H_1 and H_2 when n = 2
+    t, f, g_map = twisted_swap(n, g), maps[1], maps[2]
+    assert (t @ f @ t != (-g_map if n == 1 else f)).nnz == 0
 
 
 def test_broken_reflection_is_refused(monkeypatch):
@@ -198,6 +225,36 @@ def test_broken_reflection_is_refused(monkeypatch):
 
     monkeypatch.setattr(heisenberg, "build_kohn_laplacian", tampered)
     with pytest.raises(CertificationError, match="reflection"):
+        kohn_spectrum(grid, k=4)
+
+
+def test_broken_twisted_swap_is_refused(monkeypatch):
+    # set one even-block entry, with its images under F, G, FG and S and
+    # their transposes, to a new value: S, F and G still hold and the
+    # matrix stays symmetric, but T moves the entry off that set
+    grid = heisenberg_grid(1, 1.0, 1.0, 16)
+    build = heisenberg.build_kohn_laplacian
+
+    def tampered(grid):
+        lap = build(grid).tolil()
+        parity, even, image = parity_blocks(grid)
+        swap = np.empty(len(parity), dtype=int)
+        swap[even], swap[image] = image, even
+        f, g = reversal(1, grid.g, (0, 2)), reversal(1, grid.g, (1, 2))
+        r = int(even[len(even) // 3])
+        c = int(np.flatnonzero(lap.getrow(r).toarray()[0])[-1])
+        entries = {(p[r], p[c]) for p in (np.arange(len(parity)), f, g, f[g])}
+        entries |= {(col, row) for row, col in entries}
+        entries |= {(swap[row], swap[col]) for row, col in entries}
+        t = reversal(1, grid.g, (), swap=True)
+        assert (t[r], t[c]) not in entries and parity[c] == parity[r] == 0
+        value = lap[r, c] * (1.0 + 1e-12)
+        for row, col in entries:
+            lap[row, col] = value
+        return lap.tocsr()
+
+    monkeypatch.setattr(heisenberg, "build_kohn_laplacian", tampered)
+    with pytest.raises(CertificationError, match="twisted swap"):
         kohn_spectrum(grid, k=4)
 
 
@@ -254,9 +311,10 @@ def test_parity_block_matches_full_operator(monkeypatch):
     solved = []
     solve = heisenberg.smallest_eigenpairs
 
-    def recording(a, *args, **kwargs):
-        solved.append((a, kwargs["k"]))
-        return solve(a, *args, **kwargs)
+    def recording(a, mass, **kwargs):
+        res = solve(a, mass, **kwargs)
+        solved.append((a, mass, kwargs["k"], res))
+        return res
 
     monkeypatch.setattr(heisenberg, "smallest_eigenpairs", recording)
     grid = heisenberg_grid(1, 1.0, 1.0, 24)
@@ -265,19 +323,45 @@ def test_parity_block_matches_full_operator(monkeypatch):
     full = smallest_eigenpairs(lap, None, k=12, definite=True)
     assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
     meta = res.meta
-    assert meta["block_dim"] == lap.shape[0] // 2
-    # four sector solves of a quarter block each, on exactly symmetric
-    # operators, each for ceil(k/2) pairs
-    assert len(solved) == len(meta["sectors"]) == 4
-    assert {s["character"] for s in meta["sectors"]} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    for (a, k_s), sector in zip(solved, meta["sectors"]):
-        assert a.shape[0] == sector["dim"] == meta["block_dim"] // 4
+    block_dim = meta["block_dim"]
+    assert block_dim == lap.shape[0] // 2
+    # five solves on exactly symmetric pencils, each for ceil(k/2) pairs:
+    # (+,+) whole, and the T = +1 and -1 halves of (+,-) and (-,+)
+    solves = [s for s in meta["sectors"] if "image_of" not in s]
+    assert len(solved) == len(solves) == 5
+    assert [(s["character"], s["t_sign"]) for s in solves] == [
+        ((1, 1), None), ((1, -1), 1), ((1, -1), -1), ((-1, 1), 1), ((-1, 1), -1)]
+    assert sum(a.shape[0] for a, *_ in solved) == block_dim // 2 + block_dim // 4
+    for (a, mass, k_s, _), sector in zip(solved, solves):
+        assert a.shape[0] == sector["dim"]
         assert (a != a.T).nnz == 0 and k_s == 6
+        assert (mass is None) == (sector["t_sign"] is None)
         # sigma = 0 and lambda' shift the same pattern: equal stored entries
         assert sector["factor_nnz"] == _factor_symmetric(sp.csc_matrix(a)).nnz
         assert sector["inertia_nnz"] == sector["factor_nnz"]
+    # (-,-) is the T image of (+,+): no solve of its own
+    [image] = [s for s in meta["sectors"] if "image_of" in s]
+    assert image == {"character": (-1, -1), "t_sign": None, "dim": block_dim // 4,
+                     "image_of": (1, 1)}
+    # oracles: direct solves of each whole sector operator
+    even = parity_blocks(grid)[1]
+    block = lap[even][:, even]
+    direct = {}
+    for chi in heisenberg.CHARACTERS:
+        basis = sector_basis(grid, chi)
+        op = (basis.T @ block @ basis).tocsr()
+        direct[chi] = smallest_eigenpairs((op + op.T) / 2.0, None, k=12,
+                                          definite=True).eigenvalues
+    plus = solved[0][3].eigenvalues
+    assert np.abs(plus / direct[(-1, -1)][:6] - 1.0).max() < 1e-12
+    assert np.abs(plus / direct[(1, 1)][:6] - 1.0).max() < 1e-12
+    for chi, halves in (((1, -1), solved[1:3]), ((-1, 1), solved[3:5])):
+        union = np.sort(np.concatenate([r.eigenvalues for *_, r in halves]))
+        count = int((union <= min(r.eigenvalues[-1] for *_, r in halves)).sum())
+        assert count >= 6
+        assert np.abs(union[:count] / direct[chi][:count] - 1.0).max() < 1e-12
     assert res.eigenvalues[-1] <= meta["complete_below"]
-    assert meta["inertia_shift"] <= meta["complete_below"]
+    assert meta["inertia_shift"] < meta["complete_below"]
     # Sylvester count of the full operator below the merged inertia shift
     lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
@@ -285,6 +369,34 @@ def test_parity_block_matches_full_operator(monkeypatch):
     assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"]
     assert res.eigenvectors.shape == (lap.shape[0], 12)
     assert res.zero_count == full.zero_count == 0
+
+
+def test_inertia_shift_below_a_bound_on_the_spectrum():
+    # at k = 2 every solve gives one value, so the 2nd merged value is
+    # the bound itself; the shift must sit strictly below it, where the
+    # Sylvester count of L is defined and equals the recorded count
+    grid = heisenberg_grid(1, 1.0, 1.0, 16)
+    meta = kohn_spectrum(grid, k=2).meta
+    assert meta["inertia_shift"] < meta["complete_below"]
+    lap = build_kohn_laplacian(grid)
+    lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
+        lap.shape[0], format="csr")).tocsc())
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"] == 0
+
+
+def test_half_sector_pencils_at_n2():
+    # n = 2: T commutes with both half turns, so each of the four sectors
+    # splits into two halves; checked without solving
+    grid = heisenberg_grid(2, 1.0, 1.0, 16)
+    even, _, _, pencils = heisenberg._sector_pencils(grid, build_kohn_laplacian(grid))
+    assert len(pencils) == 8
+    assert {(p.character, p.t_sign) for p in pencils} == {
+        (chi, tau) for chi in heisenberg.CHARACTERS for tau in (1, -1)}
+    assert sum(p.op.shape[0] for p in pencils) == len(even)
+    for p in pencils:
+        assert (p.op != p.op.T).nnz == 0 and p.image is None
+        assert set(np.unique(p.mass)) <= {1.0, 2.0}
 
 
 def test_audit_kohn_records():
