@@ -327,7 +327,9 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     strictly below the bound followed by the bound itself.  When that
     is not below the bound (no wide gap at or past the k-th value), the
     shift goes to the middle of the last gap below the bound, so that it
-    never lands on a computed eigenvalue.
+    never lands on a computed eigenvalue.  Nothing is factored here: the
+    count is read off the merged values (``inertia_source: "merged"``),
+    and rests on the inertia checks of the part solves.
     """
     m_diag = _mass_matrix(mass, a.shape[0])[1]
     values, tops, lifts = zip(*parts)
@@ -351,7 +353,7 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     if shift >= bound:
         lower = complete[-1] if complete.size else bound - max(abs(bound), 1.0)
         shift = (float(lower) + bound) / 2.0
-    meta = {"tol": tol, "complete_below": bound, "inertia_checked": True,
+    meta = {"tol": tol, "complete_below": bound, "inertia_source": "merged",
             "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
 

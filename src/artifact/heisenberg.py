@@ -12,30 +12,28 @@ not elliptic (the t direction is reached only through the commutator
 
 Discretization: uniform tensor grid on [-a, a]^(2n) x [-T, T], centered
 first differences with exterior nodes dropped (zero boundary values),
-multiplication coefficients frozen at the row node.  Every axis is
-exactly antisymmetric and the operator is assembled term by term, so
-the axis reversals, the swap S and the twisted swap T that commute
-with the continuous sublaplacian hold bitwise on the matrix;
-``kohn_spectrum`` certifies them and solves symmetry sectors of one
-parity block, and halves of them under T.  The
-eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
+multiplication coefficients frozen at the row node.  In every Kronecker
+term of the operator the t-factor is I, D_t, D_t^T = -D_t or D_t^T D_t,
+so the eigenvectors of D_t split it exactly into one 2n-dimensional
+twisted (Landau) operator per t-frequency, the discrete form of the
+reduction of the sublaplacian by a Fourier transform in t (Folland,
+*Harmonic Analysis in Phase Space*, 1989; Thangavelu, *Harmonic
+Analysis on the Heisenberg Group*, 1998).  ``kohn_spectrum`` certifies
+the t-basis and solves one real mode operator per positive frequency.
+The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .eigensolve import CertificationError, merged_eigenpairs, smallest_eigenpairs
 
-__all__ = ["HeisenbergGrid", "heisenberg_grid", "parity_blocks",
-           "build_kohn_laplacian", "kohn_spectrum"]
-
-CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+__all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,13 @@ class HeisenbergGrid:
     ``g`` is the node count per axis including the two boundary nodes,
     so each interior array has g - 2 entries.  ``g`` must be even: on an
     odd grid the centered differences leave an exact checkerboard null
-    mode, so the discrete operator is singular.  Each axis must be
-    exactly antisymmetric (``ax[::-1] == -ax`` bitwise) and each x_i
-    axis must equal its y_i axis, so that the reflections and the swaps
-    S and T of ``kohn_spectrum`` map the grid onto itself.
+    mode, so the discrete operator is singular (in the t-modes of
+    ``kohn_spectrum``: one frequency is 0, and its mode is the plain
+    (x, y) Laplacian D_x^T D_x + D_y^T D_y, which has that kernel).
+    Each axis must be exactly antisymmetric (``ax[::-1] == -ax``
+    bitwise), so that reversing the x_i axes maps the grid and the
+    operator's real part onto themselves bitwise, and each x_i axis must
+    equal its y_i axis, as the box is [-a, a]^(2n) x [-T, T].
     """
 
     n: int
@@ -79,8 +80,7 @@ class HeisenbergGrid:
                 raise ValueError("axis spacing must be uniform")
             if not np.array_equal(ax[::-1], -ax):
                 raise ValueError("each axis must be exactly antisymmetric (ax[::-1] == -ax "
-                                 "bitwise): the reflections x -> -x, y -> -y, t -> -t of "
-                                 "the symmetry sectors and of the swap S need it")
+                                 "bitwise): the real form of the t-modes reverses the x axes")
         for i in range(self.n):
             if not np.array_equal(self.axes[i], self.axes[self.n + i]):
                 raise ValueError(f"axes x_{i + 1} and y_{i + 1} must be equal")
@@ -109,6 +109,12 @@ def heisenberg_grid(n, a, T, g):
     return HeisenbergGrid(n, float(a), float(T), int(g), axes)
 
 
+def _centered(grid, k):
+    """Centered first difference along axis k, zero boundary values."""
+    off = np.full(len(grid.axes[k]) - 1, 1.0 / (2.0 * grid.spacings[k]))
+    return sp.diags([off, -off], [1, -1], format="csr")
+
+
 def _kron(sizes, factors):
     """Kronecker product over the tensor axes: ``factors[k]`` on axis k,
     the identity elsewhere, multiplied in axis order."""
@@ -125,28 +131,23 @@ def build_kohn_laplacian(grid):
     X_i^T X_i + Y_i^T Y_i is expanded into eight Kronecker terms whose
     coefficients commute with their difference operators.  Each entry is
     a product of 1-D entries taken in axis order, and the terms are
-    summed in pairs that S exchanges,
+    summed in pairs that the swap (x_i, y_i, t) -> (y_i, x_i, -t)
+    exchanges,
 
         ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty)),
 
-    so S and the axis reversals map the sum onto itself bitwise, and the
-    sum is exactly symmetric.
+    so that swap and the axis reversals map the sum onto itself bitwise,
+    and the sum is exactly symmetric.
     """
     sizes = [len(ax) for ax in grid.axes]
-    steps = grid.spacings
     n = grid.n
-
-    def centered(k):
-        off = np.full(sizes[k] - 1, 1.0 / (2.0 * steps[k]))
-        return sp.diags([off, -off], [1, -1], format="csr")
-
     t = 2 * n
-    d_t = centered(t)
+    d_t = _centered(grid, t)
     dtt = (d_t.T @ d_t).tocsr()
     lap = None
     for i in range(n):
         x, y = i, n + i
-        d_x, d_y = centered(x), centered(y)
+        d_x, d_y = _centered(grid, x), _centered(grid, y)
         x_half = sp.diags(grid.axes[x] / 2.0, format="csr")
         y_half = sp.diags(grid.axes[y] / 2.0, format="csr")
         xx = _kron(sizes, {x: (d_x.T @ d_x).tocsr()})
@@ -162,207 +163,149 @@ def build_kohn_laplacian(grid):
     return lap.tocsr()
 
 
-def _node_image(grid, axes=(), swap=False):
-    """Image of every node when each x_i axis is exchanged with its y_i
-    axis (``swap``) and then ``axes`` are reversed."""
+def _t_modes(m, h):
+    """Frequencies mu_j = cos(pi j/(m + 1))/h and unit vectors
+    v_j(l) = i^l sin(pi j (l + 1)/(m + 1)) sqrt(2/(m + 1)), j = 1..ceil(m/2),
+    with D_t v_j = i mu_j v_j for the centered difference D_t of step h on
+    m nodes.  The conjugates are the modes of -mu_j; for odd m the last
+    mu_j is 0 (to rounding)."""
+    j = np.arange(1, (m + 1) // 2 + 1)
+    l = np.arange(m)[:, None]
+    phase = np.array([1, 1j, -1, -1j])[l % 4]
+    vecs = np.sqrt(2.0 / (m + 1)) * phase * np.sin(np.pi * (l + 1) * j / (m + 1))
+    return np.cos(np.pi * j / (m + 1)) / h, vecs
+
+
+def _certify_t_modes(grid, mu, vecs):
+    """Check that the modes and their conjugates form an orthonormal basis
+    that diagonalises D_t, to rounding, and return the Weyl slack.
+
+    With the basis defect delta = ||U^H U - I|| and the relative residual
+    rho = h_t ||D_t U - U diag(i mu, -i mu)|| of U = [V, conj V], every
+    eigenvalue of L is within 2 c (delta + rho)/(1 - delta) of the one of
+    the same rank of the direct sum of the mode operators, where
+    c = n (2/h^2 + a^2/(2 h_t^2) + 2a/(h h_t)) bounds the norm of every
+    mode operator (h is the smallest (x, y) step and a the largest
+    coordinate).
+    """
+    m = grid.g - 2
+    h, h_t = min(grid.spacings[:-1]), grid.spacings[-1]
+    a = max(ax[-1] for ax in grid.axes[:-1])
+    basis = np.hstack([vecs, vecs.conj()])
+    freq = 1j * np.concatenate([mu, -mu])
+    if basis.shape != (m, m):
+        raise CertificationError(f"{basis.shape[1]} t-modes for {m} t-nodes")
+    defect = np.linalg.norm(basis.conj().T @ basis - np.eye(m), 2)
+    residual = h_t * np.linalg.norm(_centered(grid, 2 * grid.n) @ basis - basis * freq, 2)
+    if max(defect, residual) > 64 * m * np.finfo(float).eps:
+        raise CertificationError(f"t-basis is not an orthonormal eigenbasis of D_t: "
+                                 f"defect {defect:.1e}, residual {residual:.1e}")
+    bound = grid.n * (2.0 / h ** 2 + a ** 2 / (2.0 * h_t ** 2) + 2.0 * a / (h * h_t))
+    return 2.0 * bound * (defect + residual) / (1.0 - defect)
+
+
+def _x_pairs(grid):
+    """The (x, y) nodes with x_1 index below m/2, and their images under
+    P_x, the reversal of every x_i axis; P_x fixes no node as m is even."""
     n, m = grid.n, grid.g - 2
-    idx = np.arange(m ** (2 * n + 1)).reshape((m,) * (2 * n + 1))
-    if swap:
-        idx = idx.transpose([*range(n, 2 * n), *range(n), 2 * n])
-    flip = tuple(slice(None, None, -1) if k in axes else slice(None)
-                 for k in range(2 * n + 1))
-    return idx[flip].ravel()
+    idx = np.arange(m ** (2 * n)).reshape((m,) * (2 * n))
+    return idx[:m // 2].ravel(), idx[(slice(None, None, -1),) * n][:m // 2].ravel()
 
 
-def parity_blocks(grid):
-    """Node indices of the even parity block and their images under S.
+def _mode_operators(grid, mu):
+    """Real symmetric form of the t-mode operator
+    L_mu = D_x^T D_x + D_y^T D_y + mu^2 (X_h^2 + Y_h^2) + i mu K, with
+    K = 2 X_h D_y - 2 D_x Y_h summed over the n planes, for each mu.
 
-    A node's parity is that of its index sum.  S maps (x_i, y_i, t) to
-    (y_i, x_i, -t), that is index (I, J, l) to (J, I, m - 1 - l) with m
-    interior nodes per axis; as m is even, S maps the even block onto
-    the odd one.  Returns ``(parity, even, image)`` with
-    ``image[r] = S(even[r])``.
+    P_x commutes with the real part S and anticommutes with K, so in the
+    basis (e_c + P_x e_c)/sqrt(2), i (e_c - P_x e_c)/sqrt(2) over the
+    nodes c of ``_x_pairs`` L_mu is the real symmetric matrix
+    [[S_+, -mu K_+-], [-mu K_+-^T, S_-]], of size m^(2n).  The axes are
+    exactly antisymmetric, so P_x holds bitwise and every block is read
+    off two column sets of the node rows.
     """
     n, m = grid.n, grid.g - 2
-    parity = (sum(np.indices((m,) * (2 * n + 1), sparse=True)) % 2).ravel()
-    even = np.flatnonzero(parity == 0)
-    return parity, even, _node_image(grid, (2 * n,), swap=True)[even]
+    sizes = [m] * (2 * n)
+    s0 = q2 = k = 0
+    for i in range(n):
+        x, y = i, n + i
+        d_x, d_y = _centered(grid, x), _centered(grid, y)
+        x_half, y_half = (sp.diags(grid.axes[ax] / 2.0, format="csr") for ax in (x, y))
+        s0 = (s0 + _kron(sizes, {x: (d_x.T @ d_x).tocsr()})
+              + _kron(sizes, {y: (d_y.T @ d_y).tocsr()}))
+        q2 = q2 + _kron(sizes, {x: x_half @ x_half}) + _kron(sizes, {y: y_half @ y_half})
+        k = k + 2.0 * (_kron(sizes, {x: x_half, y: d_y}) - _kron(sizes, {x: d_x, y: y_half}))
+    reps, partners = _x_pairs(grid)
+
+    def blocks(op, sign):
+        rows = op.tocsr()[reps]
+        return rows[:, reps] + sign * rows[:, partners]
+
+    s0, q2 = (sp.block_diag([blocks(op, 1.0), blocks(op, -1.0)], format="csr") for op in (s0, q2))
+    off = blocks(k, -1.0)
+    coupling = sp.bmat([[None, -off], [-off.T, None]], format="csr")
+    return [(s0 + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
 
 
-def _certify_symmetries(grid, lap):
-    """Check bitwise that L splits into two parity blocks that S exchanges,
-    and that F, G and the twisted swap T map the even block onto itself.
+def _mode_lifts(grid, vecs, v):
+    """Lifts of real mode vectors (a, b) to eigenvectors of L: the real
+    and imaginary parts of z (x) v, t the fastest axis, with z = a + i b
+    on the nodes c of ``_x_pairs`` and a - i b on their images P_x c.
+    z is sqrt(2) times the mode vector in the (x, y) basis, which makes
+    both parts unit vectors."""
+    reps, partners = _x_pairs(grid)
+    half = len(reps)
 
-    T is (x_i, y_i, t) -> (y_i, x_i, t) with the sign (-1)^l on t-index
-    l: exchanging x_i and y_i exchanges the (xt + tx) and (yt + ty)
-    terms, and the staggered sign flips every term with one D_t, whose
-    difference is then negated exactly.  Returns the even nodes, their S
-    images, the even block, the block positions of the F and G images,
-    and T as a signed permutation ``(perm, sign)`` of the block.
-    """
-    parity, even, image = parity_blocks(grid)
-    coo = lap.tocoo()
-    if (parity[coo.row] != parity[coo.col]).any():
-        raise CertificationError("Kohn operator couples the two parity blocks")
-    block = lap[even][:, even]
-    if (block != lap[image][:, image]).nnz:
-        raise CertificationError("Kohn parity blocks are not exchanged by S")
-    # F and G reverse (x, t) and (y, t) when n = 1; for n >= 2 only the
-    # half turns of the (x_1, y_1) and (x_2, y_2) planes commute with L.
-    # Each reverses two axes of even length, so it keeps the parity and
-    # fixes no node, and neither does their product.
-    n = grid.n
-    gens = ((0, 2), (1, 2)) if n == 1 else ((0, n), (1, n + 1))
-    refls = [np.searchsorted(even, _node_image(grid, axes)[even]) for axes in gens]
-    for axes, refl in zip(gens, refls):
-        if (block[refl][:, refl] != block).nnz:
-            raise CertificationError(f"Kohn parity block is not invariant under the "
-                                     f"reflection of axes {axes}")
-    perm = np.searchsorted(even, _node_image(grid, swap=True)[even])
-    sign = 1.0 - 2.0 * (even % (grid.g - 2) % 2)
-    signed = sp.diags(sign) @ block[perm][:, perm] @ sp.diags(sign)
-    if (signed != block).nnz:
-        raise CertificationError("Kohn parity block is not invariant under the twisted swap T")
-    return even, image, block, refls, (perm, sign)
+    def lift(part):
+        def cols(idx):
+            a, b = vecs[:half, idx], vecs[half:, idx]
+            z = np.empty((2 * half, len(idx)), dtype=complex)
+            z[reps], z[partners] = a + 1j * b, a - 1j * b
+            return part((z[:, None, :] * v[None, :, None]).reshape(len(z) * len(v), -1))
+        return cols
 
-
-class _Pencil(NamedTuple):
-    """One solve of ``kohn_spectrum``: the pencil (op, mass) of a sector
-    or of its T = t_sign half, ``basis`` taking its vectors to the even
-    block, and ``image``, the character of the sector that T maps the
-    solved one onto, when that is another sector."""
-
-    character: tuple
-    t_sign: int | None
-    image: tuple | None
-    op: sp.csr_matrix
-    mass: np.ndarray | None
-    basis: sp.csr_matrix
-
-
-def _sector_pencils(grid, lap):
-    """Certify the symmetries of L and build the pencils ``kohn_spectrum``
-    solves.  Returns the even nodes, their S images, T as a signed
-    permutation of the even block and the list of ``_Pencil``."""
-    even, image, block, (refl_f, refl_g), twist = _certify_symmetries(grid, lap)
-    nodes = np.arange(len(even))
-    refl_fg = refl_f[refl_g]
-    reps = np.flatnonzero((nodes < refl_f) & (nodes < refl_g) & (nodes < refl_fg))
-    orbit = (reps, refl_f[reps], refl_g[reps], refl_fg[reps])
-    # T takes representative c to orbit member h[c] of representative q[c]
-    # (member 0 is the representative, then its F, G and FG images)
-    own = np.arange(len(reps))
-    rep_of, member = np.empty_like(nodes), np.empty_like(nodes)
-    for h, cols in enumerate(orbit):
-        rep_of[cols], member[cols] = own, h
-    t_image = twist[0][reps]
-    q, h = rep_of[t_image], member[t_image]
-    rows = block[reps]
-    pencils = []
-    for chi in CHARACTERS:
-        if chi in {p.image for p in pencils}:
-            continue
-        signs = np.array([1, chi[0], chi[1], chi[0] * chi[1]])
-        op = rows[:, orbit[0]]
-        for sign, cols in zip(signs[1:], orbit[1:]):
-            op = op + sign * rows[:, cols]
-        basis = sp.csr_matrix((np.repeat(0.5 * signs, len(reps)),
-                               (np.concatenate(orbit), np.tile(own, 4))),
-                              shape=(len(even), len(reps)))
-        # T F T = -G when n = 1; for n >= 2, T commutes with both half turns
-        target = (-chi[1], -chi[0]) if grid.n == 1 else chi
-        if target != chi:
-            pencils.append(_Pencil(chi, None, target, op, None, basis))
-            continue
-        # T e_c = s[c] e_q[c] on the sector's orbit sums e_c, so the half
-        # T = tau is spanned by e_c + tau s[c] e_q[c], of squared norm
-        # 2 (1 + [q[c] = c]): the mass, after halving the pencil
-        s = twist[1][reps] * signs[h]
-        for tau in (1, -1):
-            keep = np.flatnonzero((q > own) | ((q == own) & (s == tau)))
-            flip = sp.diags(tau * s[keep])
-            half = op[keep][:, keep] + op[keep][:, q[keep]] @ flip
-            lift = np.sqrt(0.5) * (basis[:, keep] + basis[:, q[keep]] @ flip)
-            pencils.append(_Pencil(chi, tau, None, half.tocsr(), 1.0 + (q[keep] == keep),
-                                   lift.tocsr()))
-    return even, image, twist, pencils
-
-
-def _lift(vecs, basis, nodes, twist, dim):
-    """Lift of solve vectors: ``basis`` takes them to the even block, the
-    signed permutation ``twist`` (when given) maps them on, and they are
-    placed on ``nodes``; zero elsewhere in the full space."""
-    def lift(idx):
-        out = np.zeros((dim, len(idx)))
-        block = basis @ vecs[:, idx]
-        if twist is None:
-            out[nodes] = block
-        else:
-            out[nodes[twist[0]]] = twist[1][:, None] * block
-        return out
-    return lift
+    return lift(np.real), lift(np.imag)
 
 
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
-    Centered differences decouple the operator L into an even and an
-    odd parity block, and S (see ``parity_blocks``) commutes with L and
-    swaps them, so the blocks are exactly similar.  Two commuting axis
-    reversals F and G map the even block onto itself without fixing a
-    node, so its orbits of four nodes split it into four sectors, one
-    per character (chi_F, chi_G), each with a quarter of the unknowns.
-    The twisted swap T (see ``_certify_symmetries``) keeps the block too.
-    All of these facts are checked bitwise on the assembled matrix; a
-    failure raises ``CertificationError``.
+    D_t = tridiag(-1, 0, 1)/(2 h_t) on the m interior t-nodes has the
+    orthonormal eigenvectors of ``_t_modes`` and their conjugates, with
+    eigenvalues +-i mu_j.  In that basis L is the direct sum of the mode
+    operators L_mu (see ``_mode_operators``); L_-mu is the conjugate of
+    L_mu, with the same spectrum, and as m is even no mu_j is 0, so only
+    the m/2 modes with mu_j > 0 are solved.  The basis is certified to
+    rounding at run time (``CertificationError`` otherwise), with the
+    Weyl slack of ``_certify_t_modes``.
 
-    The sector operator is A[r, c] = sum_g chi(g) B[r, g c] over the
-    orbit representatives r, c.  When n = 1, T F T = -G, so T maps
-    sector (chi_F, chi_G) onto (-chi_G, -chi_F): (+,+) is solved whole
-    and its pairs, mapped by T, are those of (-,-).  A sector that T
-    maps onto itself (both mixed ones when n = 1, all four when n >= 2)
-    is solved as two halves, T = tau = +1 and -1.  With T e_c =
-    s_c e_(q_c) on the orbit sums, a half is the pencil
-    A_tau[r, c] = A[r, c] + tau s_c A[r, q_c], M_tau = diag(1 + [q_c = c])
-    over one representative c of each T-pair, dropping those that T
-    fixes with sign -tau; both are exactly symmetric.
+    Each mode is solved in its real symmetric form of size m^(2n) for
+    ceil(k/2) pairs, with its own inertia check.  A pair (a, b) gives
+    two orthonormal real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of
+    its lift (``_mode_lifts``): these are the two subspaces each mode
+    passes to ``merged_eigenpairs``, which takes the k lowest pairs,
+    bounded by the smallest mode top, and re-certifies them on L.  The
+    mode with the smallest top has ceil(k/2) values at or below it, each
+    doubled, so the merge is always complete.
 
-    Every solve asks for ceil(k/2) pairs.  A pair lifts to the even
-    block (entries +-1/2 on the orbit of c, after the half's
-    sqrt(1/2) and sqrt(2) weights), and so to invariant subspaces of L:
-    that vector on the even nodes, and its image under S on the odd
-    nodes, plus the same two for its T image when (+,+) is solved whole.
-    ``merged_eigenpairs`` takes the k lowest of these subspaces' pairs,
-    bounded by the smallest solve top, which the ceil(k/2) values of
-    each solve, all doubled by S, always reach, and re-certifies them on L.
-
-    ``meta`` holds ``parity_block``, ``block_dim`` (the even block's
-    size), ``sectors`` (each solve's own ``meta`` with its character,
-    ``t_sign`` (tau, or None for a sector solved whole) and dimension,
-    and for a sector taken from its T image only its character, size
-    and ``image_of``), ``complete_below`` (the smallest solve top), and
+    ``meta`` holds ``method: "t-modes"``, ``modes`` (each mode solve's
+    own ``meta`` with its ``mu`` and ``dim``), ``weyl_slack`` (how far
+    the eigenvalues of L may be from those of the solved modes, a few
+    eps ||L||), ``complete_below`` (the smallest mode top), and
     ``inertia_shift`` and ``inertia_count``: the count of L below that
-    shift, read off the lifted values below it.
+    shift, read off the merged mode values below it.
     """
     lap = build_kohn_laplacian(grid)
-    dim = lap.shape[0]
-    even, image, twist, pencils = _sector_pencils(grid, lap)
-    parts, sectors = [], []
-    for pencil in pencils:
-        res = smallest_eigenpairs(pencil.op, pencil.mass, k=(k + 1) // 2, tol=tol,
-                                  seed=seed, definite=True)
+    mu, vecs = _t_modes(grid.g - 2, grid.spacings[-1])
+    slack = _certify_t_modes(grid, mu, vecs)
+    parts, modes = [], []
+    for mu_j, v, op in zip(mu, vecs.T, _mode_operators(grid, mu)):
+        res = smallest_eigenpairs(op, None, k=(k + 1) // 2, tol=tol, seed=seed,
+                                  definite=True)
         top = float(res.eigenvalues[-1])
-        parts += [(res.eigenvalues, top,
-                   _lift(res.eigenvectors, pencil.basis, nodes, perm, dim))
-                  for perm in ((None, twist) if pencil.image else (None,))
-                  for nodes in (even, image)]
-        sector = {"character": pencil.character, "t_sign": pencil.t_sign,
-                  "dim": pencil.op.shape[0]}
-        sectors.append({**res.meta, **sector})
-        if pencil.image:
-            sectors.append({**sector, "character": pencil.image,
-                            "image_of": pencil.character})
+        parts += [(res.eigenvalues, top, lift)
+                  for lift in _mode_lifts(grid, res.eigenvectors, v)]
+        modes.append({**res.meta, "mu": float(mu_j), "dim": op.shape[0]})
     result = merged_eigenpairs(lap, None, parts, k, tol)
-    result.meta.update(method="sectors", seed=seed, parity_block=True,
-                       block_dim=len(even), sectors=sectors)
+    result.meta.update(method="t-modes", seed=seed, modes=modes, weyl_slack=slack)
     return result

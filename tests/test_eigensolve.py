@@ -232,6 +232,8 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     assert np.abs(merged.eigenvalues - exact[:6]).max() < 1e-10 * exact[5]
     assert merged.residuals.max() < 1e-8 and merged.zero_count == 0
     assert merged.meta["complete_below"] == bound
+    # nothing was factored: the count is read off the merged values
+    assert merged.meta["inertia_source"] == "merged" and "inertia_checked" not in merged.meta
     # Sylvester count of the pencil below the recorded shift
     shift = merged.meta["inertia_shift"]
     assert merged.eigenvalues[-1] < shift < bound

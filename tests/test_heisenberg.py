@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kohn_sectors import parity_blocks, sector_spectrum
+
 from artifact import heisenberg
 from artifact.audit import audit_kohn
 from artifact.eigensolve import CertificationError, _factor_symmetric, smallest_eigenpairs
 from artifact.heisenberg import (HeisenbergGrid, build_kohn_laplacian,
-                                 heisenberg_grid, kohn_spectrum, parity_blocks)
+                                 heisenberg_grid, kohn_spectrum)
 
 
 def independent_ops(grid):
@@ -93,19 +95,6 @@ def twisted_swap(n, g):
     sign = 1.0 - 2.0 * (np.arange(dim) % m % 2)
     return sp.csr_matrix((sign, (reversal(n, g, (), swap=True), np.arange(dim))),
                          shape=(dim, dim))
-
-
-def sector_basis(grid, chi):
-    """Orthonormal orbit sums of the even block for the character
-    chi = (chi_F, chi_G) of F = {x, t} and G = {y, t} (n = 1)."""
-    _, even, _ = parity_blocks(grid)
-    f, g = (np.searchsorted(even, reversal(1, grid.g, axes)[even]) for axes in ((0, 2), (1, 2)))
-    nodes = np.arange(len(even))
-    reps = nodes[(nodes < f) & (nodes < g) & (nodes < f[g])]
-    data = np.repeat([0.5, 0.5 * chi[0], 0.5 * chi[1], 0.5 * chi[0] * chi[1]], len(reps))
-    return sp.csr_matrix((data, (np.concatenate([reps, f[reps], g[reps], f[g][reps]]),
-                                 np.tile(np.arange(len(reps)), 4))),
-                         shape=(len(even), len(reps)))
 
 
 def test_grid_validation():
@@ -204,6 +193,7 @@ def test_reflections_are_exact_symmetries(n, g):
 
 
 def test_broken_reflection_is_refused(monkeypatch):
+    # the sector oracle certifies its symmetries on the assembled matrix:
     # perturb one entry of the even block that F moves, with its
     # transpose and their S images, so the matrix stays symmetric and S
     # still holds: only the reflection check can see it
@@ -225,13 +215,14 @@ def test_broken_reflection_is_refused(monkeypatch):
 
     monkeypatch.setattr(heisenberg, "build_kohn_laplacian", tampered)
     with pytest.raises(CertificationError, match="reflection"):
-        kohn_spectrum(grid, k=4)
+        sector_spectrum(grid, k=4)
 
 
 def test_broken_twisted_swap_is_refused(monkeypatch):
-    # set one even-block entry, with its images under F, G, FG and S and
-    # their transposes, to a new value: S, F and G still hold and the
-    # matrix stays symmetric, but T moves the entry off that set
+    # the sector oracle's T check: set one even-block entry, with its
+    # images under F, G, FG and S and their transposes, to a new value:
+    # S, F and G still hold and the matrix stays symmetric, but T moves
+    # the entry off that set
     grid = heisenberg_grid(1, 1.0, 1.0, 16)
     build = heisenberg.build_kohn_laplacian
 
@@ -255,7 +246,7 @@ def test_broken_twisted_swap_is_refused(monkeypatch):
 
     monkeypatch.setattr(heisenberg, "build_kohn_laplacian", tampered)
     with pytest.raises(CertificationError, match="twisted swap"):
-        kohn_spectrum(grid, k=4)
+        sector_spectrum(grid, k=4)
 
 
 def test_domain_monotonicity():
@@ -272,12 +263,13 @@ def test_ground_state_refinement_stability():
 
 
 def test_doubled_spectrum_pairs():
-    # S: (x, y, t) -> (y, x, -t) swaps the two parity blocks and commutes
-    # with L, which doubles every eigenvalue; both members of each pair
-    # come back, inertia-certified
+    # the t-modes of mu and -mu are conjugate, which doubles every
+    # eigenvalue; both members of each pair come back, from mode solves
+    # that each ran an inertia check
     res = kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 24), k=8)
     v = res.eigenvalues
-    assert res.meta["inertia_checked"] and res.meta["parity_block"]
+    assert res.meta["inertia_source"] == "merged" and "inertia_checked" not in res.meta
+    assert all(mode["inertia_checked"] for mode in res.meta["modes"])
     for i in range(4):
         assert v[2 * i + 1] / v[2 * i] - 1.0 < 1e-12
 
@@ -307,68 +299,96 @@ def test_point_reflection_is_not_a_symmetry():
     assert dev > 0.3
 
 
-def test_parity_block_matches_full_operator(monkeypatch):
+@pytest.mark.parametrize("g", [16, 24, 32])
+def test_t_modes_match_sector_oracle(monkeypatch, g):
     solved = []
     solve = heisenberg.smallest_eigenpairs
 
     def recording(a, mass, **kwargs):
         res = solve(a, mass, **kwargs)
-        solved.append((a, mass, kwargs["k"], res))
+        solved.append((a, mass, kwargs["k"]))
         return res
 
     monkeypatch.setattr(heisenberg, "smallest_eigenpairs", recording)
-    grid = heisenberg_grid(1, 1.0, 1.0, 24)
+    grid = heisenberg_grid(1, 1.0, 1.0, g)
     res = kohn_spectrum(grid, k=12)
+    oracle = sector_spectrum(grid, k=12)
+    assert np.abs(res.eigenvalues / oracle.eigenvalues - 1.0).max() < 1e-12
+    assert res.residuals.max() < 1e-12 and res.zero_count == oracle.zero_count == 0
+    meta = res.meta
+    m = g - 2
+    assert meta["method"] == "t-modes" and len(meta["modes"]) == len(solved) == m // 2
+    mu = [mode["mu"] for mode in meta["modes"]]
+    assert all(a > b > 0.0 for a, b in zip(mu, mu[1:]))
+    # one real symmetric m^2 operator per positive mode, ceil(k/2) pairs each
+    for (a, mass, k_s), mode in zip(solved, meta["modes"]):
+        assert a.shape[0] == mode["dim"] == m * m and mass is None and k_s == 6
+        assert (a != a.T).nnz == 0 and mode["inertia_checked"]
+        # sigma = 0 and lambda' shift the same pattern: equal stored entries
+        assert mode["factor_nnz"] == mode["inertia_nnz"] == _factor_symmetric(
+            sp.csc_matrix(a)).nnz
+    assert res.eigenvalues[-1] <= meta["complete_below"]
+    assert meta["inertia_shift"] < meta["complete_below"]
+    assert 0.0 < meta["weyl_slack"] < 1e-10
+    assert res.eigenvectors.shape == (m ** 3, 12)
+    if g != 24:
+        return
     lap = build_kohn_laplacian(grid)
     full = smallest_eigenpairs(lap, None, k=12, definite=True)
     assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
-    meta = res.meta
-    block_dim = meta["block_dim"]
-    assert block_dim == lap.shape[0] // 2
-    # five solves on exactly symmetric pencils, each for ceil(k/2) pairs:
-    # (+,+) whole, and the T = +1 and -1 halves of (+,-) and (-,+)
-    solves = [s for s in meta["sectors"] if "image_of" not in s]
-    assert len(solved) == len(solves) == 5
-    assert [(s["character"], s["t_sign"]) for s in solves] == [
-        ((1, 1), None), ((1, -1), 1), ((1, -1), -1), ((-1, 1), 1), ((-1, 1), -1)]
-    assert sum(a.shape[0] for a, *_ in solved) == block_dim // 2 + block_dim // 4
-    for (a, mass, k_s, _), sector in zip(solved, solves):
-        assert a.shape[0] == sector["dim"]
-        assert (a != a.T).nnz == 0 and k_s == 6
-        assert (mass is None) == (sector["t_sign"] is None)
-        # sigma = 0 and lambda' shift the same pattern: equal stored entries
-        assert sector["factor_nnz"] == _factor_symmetric(sp.csc_matrix(a)).nnz
-        assert sector["inertia_nnz"] == sector["factor_nnz"]
-    # (-,-) is the T image of (+,+): no solve of its own
-    [image] = [s for s in meta["sectors"] if "image_of" in s]
-    assert image == {"character": (-1, -1), "t_sign": None, "dim": block_dim // 4,
-                     "image_of": (1, 1)}
-    # oracles: direct solves of each whole sector operator
-    even = parity_blocks(grid)[1]
-    block = lap[even][:, even]
-    direct = {}
-    for chi in heisenberg.CHARACTERS:
-        basis = sector_basis(grid, chi)
-        op = (basis.T @ block @ basis).tocsr()
-        direct[chi] = smallest_eigenpairs((op + op.T) / 2.0, None, k=12,
-                                          definite=True).eigenvalues
-    plus = solved[0][3].eigenvalues
-    assert np.abs(plus / direct[(-1, -1)][:6] - 1.0).max() < 1e-12
-    assert np.abs(plus / direct[(1, 1)][:6] - 1.0).max() < 1e-12
-    for chi, halves in (((1, -1), solved[1:3]), ((-1, 1), solved[3:5])):
-        union = np.sort(np.concatenate([r.eigenvalues for *_, r in halves]))
-        count = int((union <= min(r.eigenvalues[-1] for *_, r in halves)).sum())
-        assert count >= 6
-        assert np.abs(union[:count] / direct[chi][:count] - 1.0).max() < 1e-12
-    assert res.eigenvalues[-1] <= meta["complete_below"]
-    assert meta["inertia_shift"] < meta["complete_below"]
     # Sylvester count of the full operator below the merged inertia shift
     lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"]
-    assert res.eigenvectors.shape == (lap.shape[0], 12)
-    assert res.zero_count == full.zero_count == 0
+
+
+def test_mode_operators_match_hermitian_modes():
+    # L_j = (I (x) v_j)^H L (I (x) v_j), projected from the assembled L,
+    # is the complex Hermitian t-mode; its real form has its spectrum
+    grid = heisenberg_grid(1, 1.0, 1.0, 16)
+    lap = build_kohn_laplacian(grid).toarray()
+    m = grid.g - 2
+    mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
+    ops = heisenberg._mode_operators(grid, mu)
+    assert len(ops) == m // 2
+    for op, v in zip(ops, vecs.T):
+        assert op.shape == (m * m, m * m) and (op != op.T).nnz == 0
+        lift = np.kron(np.eye(m * m), v[:, None])
+        hermitian = lift.conj().T @ lap @ lift
+        assert np.abs(hermitian - hermitian.conj().T).max() < 1e-12 * np.abs(hermitian).max()
+        exact = np.linalg.eigvalsh(hermitian)
+        real = np.linalg.eigvalsh(op.toarray())
+        assert np.abs(real - exact).max() < 1e-12 * exact[-1]
+
+
+def test_perturbed_t_basis_is_refused(monkeypatch):
+    modes = heisenberg._t_modes
+
+    def perturbed(m, h):
+        mu, vecs = modes(m, h)
+        vecs = vecs.copy()
+        vecs[m // 2, 1] *= 1.0 + 1e-9
+        return mu, vecs
+
+    monkeypatch.setattr(heisenberg, "_t_modes", perturbed)
+    with pytest.raises(CertificationError, match="t-basis"):
+        kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 16), k=4)
+
+
+def test_odd_t_axis_has_a_zero_frequency():
+    # why odd grids stay refused: at odd m one t-mode has mu = 0, and that
+    # mode is the (x, y) Laplacian D_x^T D_x + D_y^T D_y, whose centered
+    # differences annihilate (1, 0, 1, ..., 0, 1) on odd axes
+    m, h = 15, 2.0 / 16
+    mu, vecs = heisenberg._t_modes(m, h)
+    assert len(mu) == (m + 1) // 2 and np.abs(mu[:-1]).min() > 0.1 / h
+    assert abs(mu[-1]) < 1e-15 / h
+    d = (np.eye(m, k=1) - np.eye(m, k=-1)) / (2.0 * h)
+    assert np.abs(d @ vecs[:, -1]).max() < 1e-14 / h
+    checker = (np.arange(m) % 2 == 0).astype(float)
+    assert np.abs(d @ checker).max() == 0.0
+    assert np.all(heisenberg._t_modes(m + 1, h)[0] > 0.05 / h)
 
 
 def test_inertia_shift_below_a_bound_on_the_spectrum():
@@ -385,18 +405,17 @@ def test_inertia_shift_below_a_bound_on_the_spectrum():
     assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"] == 0
 
 
-def test_half_sector_pencils_at_n2():
-    # n = 2: T commutes with both half turns, so each of the four sectors
-    # splits into two halves; checked without solving
+def test_mode_operators_at_n2():
+    # n = 2: m/2 real mode operators on the four (x, y) axes; built and
+    # checked without solving
     grid = heisenberg_grid(2, 1.0, 1.0, 16)
-    even, _, _, pencils = heisenberg._sector_pencils(grid, build_kohn_laplacian(grid))
-    assert len(pencils) == 8
-    assert {(p.character, p.t_sign) for p in pencils} == {
-        (chi, tau) for chi in heisenberg.CHARACTERS for tau in (1, -1)}
-    assert sum(p.op.shape[0] for p in pencils) == len(even)
-    for p in pencils:
-        assert (p.op != p.op.T).nnz == 0 and p.image is None
-        assert set(np.unique(p.mass)) <= {1.0, 2.0}
+    m = grid.g - 2
+    mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
+    heisenberg._certify_t_modes(grid, mu, vecs)
+    ops = heisenberg._mode_operators(grid, mu)
+    assert len(ops) == m // 2
+    for op in ops:
+        assert op.shape == (m ** 4, m ** 4) and (op != op.T).nnz == 0
 
 
 def test_audit_kohn_records():

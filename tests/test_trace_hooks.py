@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from artifact import heisenberg
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -28,3 +30,24 @@ def test_every_traced_name_resolves(monkeypatch):
     for module_name, attr, _, _ in spans.PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_kohn_spectrum_calls_the_traced_names(monkeypatch):
+    # the benchmark books Kohn assembly and every mode solve through
+    # these two module globals; a solve path that bypasses them would
+    # read 0 in its per-layer trace
+    calls = {"build_kohn_laplacian": 0, "smallest_eigenpairs": 0}
+
+    def counting(name):
+        fn = getattr(heisenberg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(heisenberg, name, counting(name))
+    grid = heisenberg.heisenberg_grid(1, 1.0, 1.0, 16)
+    heisenberg.kohn_spectrum(grid, k=4)
+    assert calls == {"build_kohn_laplacian": 1, "smallest_eigenpairs": (grid.g - 2) // 2}
