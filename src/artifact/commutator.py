@@ -185,9 +185,7 @@ def run_trials(n_trials, dim_min=2, dim_max=30, seed=0, degenerate=False):
         record = {"trial": trial, "dim": dim, "degenerate": bool(degenerate),
                   "max_residual": float(residuals.max()), "scale": scale}
         if degenerate:
-            # ||L|| from eigvalsh, as the coupling scale is defined; the
-            # adapted eigh's values differ from it in the last bits.
-            norm_l = np.abs(np.linalg.eigvalsh(l_mat)).max()
+            norm_l = np.abs(adapted.vals).max()
             record["max_coupling"] = _max_coupling(adapted)
             record["coupling_scale"] = float(max(norm_l * adapted.norm_g, 1e-300))
         records.append(record)

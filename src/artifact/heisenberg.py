@@ -12,14 +12,22 @@ not elliptic (the t direction is reached only through the commutator
 
 Discretization: uniform tensor grid on [-a, a]^(2n) x [-T, T], centered
 first differences with exterior nodes dropped (zero boundary values),
-multiplication coefficients frozen at the row node.  In every Kronecker
-term of the operator the t-factor is I, D_t, D_t^T = -D_t or D_t^T D_t,
-so the eigenvectors of D_t split it exactly into one 2n-dimensional
-twisted (Landau) operator per t-frequency, the discrete form of the
-reduction of the sublaplacian by a Fourier transform in t (Folland,
-*Harmonic Analysis in Phase Space*, 1989; Thangavelu, *Harmonic
-Analysis on the Heisenberg Group*, 1998).  ``kohn_spectrum`` certifies
-the t-basis and solves one real mode operator per positive frequency.
+multiplication coefficients frozen at the row node.  The operator is
+written down once, as per-plane pieces on the (x, y) axes
+(``_plane_pieces``):
+
+    L = sum_i S_i (x) I + (Y_h^2 + X_h^2) (x) D_t^T D_t + K_i (x) D_t,
+
+with S_i = D_x^T D_x + D_y^T D_y, X_h = diag(x_i/2), Y_h = diag(y_i/2)
+and K_i = 2 X_h D_y - 2 D_x Y_h.  The assembled L, the t-mode operators
+and the bound on their norms all read these pieces.  The only t-factors
+are I, D_t^T D_t and D_t, so the eigenvectors of D_t split L exactly
+into one 2n-dimensional twisted (Landau) operator per t-frequency, the
+discrete form of the reduction of the sublaplacian by a Fourier
+transform in t (Folland, *Harmonic Analysis in Phase Space*, 1989;
+Thangavelu, *Harmonic Analysis on the Heisenberg Group*, 1998).
+``kohn_spectrum`` certifies the t-basis and solves one real mode
+operator per positive frequency.
 The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
@@ -27,6 +35,7 @@ in ``audit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,42 +134,47 @@ def _kron(sizes, factors):
     return out
 
 
-def build_kohn_laplacian(grid):
-    """Assemble the Kohn sublaplacian as a symmetric sparse matrix.
+def _plane_pieces(grid):
+    """Yield (S_i, X_h^2, Y_h^2, K_i) on the 2n (x, y) axes for each plane i,
+    with S_i = D_x^T D_x + D_y^T D_y and K_i = 2 X_h D_y - 2 D_x Y_h.
 
-    X_i^T X_i + Y_i^T Y_i is expanded into eight Kronecker terms whose
-    coefficients commute with their difference operators.  Each entry is
-    a product of 1-D entries taken in axis order, and the terms are
-    summed in pairs that the swap (x_i, y_i, t) -> (y_i, x_i, -t)
-    exchanges,
-
-        ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty)),
-
-    so that swap and the axis reversals map the sum onto itself bitwise,
-    and the sum is exactly symmetric.
+    This is the only place that says which 1-D factors make up the
+    operator: X_i^T X_i + Y_i^T Y_i is S_i (x) I + (Y_h^2 + X_h^2) (x)
+    D_t^T D_t + K_i (x) D_t with t the fastest axis
+    (``build_kohn_laplacian``), and a t-mode of D_t replaces D_t by i mu
+    (``_mode_pieces``).
     """
-    sizes = [len(ax) for ax in grid.axes]
     n = grid.n
-    t = 2 * n
-    d_t = _centered(grid, t)
-    dtt = (d_t.T @ d_t).tocsr()
-    lap = None
+    sizes = [len(ax) for ax in grid.axes[:-1]]
     for i in range(n):
         x, y = i, n + i
         d_x, d_y = _centered(grid, x), _centered(grid, y)
-        x_half = sp.diags(grid.axes[x] / 2.0, format="csr")
-        y_half = sp.diags(grid.axes[y] / 2.0, format="csr")
-        xx = _kron(sizes, {x: (d_x.T @ d_x).tocsr()})
-        yy = _kron(sizes, {y: (d_y.T @ d_y).tocsr()})
-        tty = _kron(sizes, {y: y_half @ y_half, t: dtt})
-        ttx = _kron(sizes, {x: x_half @ x_half, t: dtt})
-        xt = _kron(sizes, {x: d_x.T.tocsr(), y: y_half, t: d_t})
-        tx = _kron(sizes, {x: d_x, y: y_half, t: d_t.T.tocsr()})
-        yt = _kron(sizes, {x: x_half, y: d_y.T.tocsr(), t: d_t})
-        ty = _kron(sizes, {x: x_half, y: d_y, t: d_t.T.tocsr()})
-        term = ((xx + yy) + (tty + ttx)) + ((xt + tx) - (yt + ty))
-        lap = term if lap is None else lap + term
-    return lap.tocsr()
+        x_half, y_half = (sp.diags(grid.axes[ax] / 2.0, format="csr") for ax in (x, y))
+        yield ((_kron(sizes, {x: (d_x.T @ d_x).tocsr()})
+                + _kron(sizes, {y: (d_y.T @ d_y).tocsr()})),
+               _kron(sizes, {x: x_half @ x_half}), _kron(sizes, {y: y_half @ y_half}),
+               2.0 * (_kron(sizes, {x: x_half, y: d_y}) - _kron(sizes, {x: d_x, y: y_half})))
+
+
+def build_kohn_laplacian(grid):
+    """Assemble the Kohn sublaplacian as a symmetric sparse matrix,
+
+        L = sum_i ((S_i (x) I + (Y_h^2 (x) D_t^T D_t + X_h^2 (x) D_t^T D_t))
+                   + K_i (x) D_t),
+
+    from the pieces of ``_plane_pieces``.  D_t^T = -D_t exactly, so each
+    entry is a product of 1-D entries taken in axis order, and the sum
+    is bitwise the one of the eight Kronecker terms of X_i^T X_i +
+    Y_i^T Y_i in pairs that the swap (x_i, y_i, t) -> (y_i, x_i, -t)
+    exchanges.  That order is kept on purpose: the swap, the axis
+    reversals and the twisted swap of the symmetry-sector test oracle
+    then map L onto itself bitwise, and L is exactly symmetric.
+    """
+    d_t = _centered(grid, 2 * grid.n)
+    dtt, eye = (d_t.T @ d_t).tocsr(), sp.identity(d_t.shape[0], format="csr")
+    kron = partial(sp.kron, format="csr")
+    return sum((kron(s, eye) + (kron(y2, dtt) + kron(x2, dtt))) + kron(k, d_t)
+               for s, x2, y2, k in _plane_pieces(grid))
 
 
 def _t_modes(m, h):
@@ -176,7 +190,25 @@ def _t_modes(m, h):
     return np.cos(np.pi * j / (m + 1)) / h, vecs
 
 
-def _certify_t_modes(grid, mu, vecs):
+def _mode_pieces(grid):
+    """S, Q_2 = X_h^2 + Y_h^2 and K of ``_plane_pieces``, summed over the
+    planes: the t-mode of frequency mu is S + mu^2 Q_2 + i mu K."""
+    s, x2, y2, k = map(sum, zip(*_plane_pieces(grid)))
+    return s, x2 + y2, k
+
+
+def _mode_bound(pieces, mu):
+    """c = ||S||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K||_inf, with mu_1 the
+    largest |mu|, bounds ||S + mu^2 Q_2 + i mu K||_2 for every |mu| <= mu_1:
+    by the triangle inequality, as S and Q_2 are symmetric and K is
+    antisymmetric, so each 2-norm is a spectral radius, which no induced
+    norm undercuts."""
+    s, q2, k = (abs(op).sum(axis=1).max() for op in pieces)
+    top = np.abs(mu).max()
+    return float(s + top ** 2 * q2 + top * k)
+
+
+def _certify_t_modes(grid, mu, vecs, pieces):
     """Check that the modes and their conjugates form an orthonormal basis
     that diagonalises D_t, to rounding, and return the Weyl slack.
 
@@ -184,13 +216,11 @@ def _certify_t_modes(grid, mu, vecs):
     rho = h_t ||D_t U - U diag(i mu, -i mu)|| of U = [V, conj V], every
     eigenvalue of L is within 2 c (delta + rho)/(1 - delta) of the one of
     the same rank of the direct sum of the mode operators, where
-    c = n (2/h^2 + a^2/(2 h_t^2) + 2a/(h h_t)) bounds the norm of every
-    mode operator (h is the smallest (x, y) step and a the largest
-    coordinate).
+    c = ||S||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K||_inf of the summed
+    ``pieces`` (``_mode_bound``) bounds the 2-norm of every mode operator.
     """
     m = grid.g - 2
-    h, h_t = min(grid.spacings[:-1]), grid.spacings[-1]
-    a = max(ax[-1] for ax in grid.axes[:-1])
+    h_t = grid.spacings[-1]
     basis = np.hstack([vecs, vecs.conj()])
     freq = 1j * np.concatenate([mu, -mu])
     if basis.shape != (m, m):
@@ -200,8 +230,7 @@ def _certify_t_modes(grid, mu, vecs):
     if max(defect, residual) > 64 * m * np.finfo(float).eps:
         raise CertificationError(f"t-basis is not an orthonormal eigenbasis of D_t: "
                                  f"defect {defect:.1e}, residual {residual:.1e}")
-    bound = grid.n * (2.0 / h ** 2 + a ** 2 / (2.0 * h_t ** 2) + 2.0 * a / (h * h_t))
-    return 2.0 * bound * (defect + residual) / (1.0 - defect)
+    return 2.0 * _mode_bound(pieces, mu) * (defect + residual) / (1.0 - defect)
 
 
 def _x_pairs(grid):
@@ -212,10 +241,10 @@ def _x_pairs(grid):
     return idx[:m // 2].ravel(), idx[(slice(None, None, -1),) * n][:m // 2].ravel()
 
 
-def _mode_operators(grid, mu):
+def _mode_operators(grid, mu, pieces):
     """Real symmetric form of the t-mode operator
-    L_mu = D_x^T D_x + D_y^T D_y + mu^2 (X_h^2 + Y_h^2) + i mu K, with
-    K = 2 X_h D_y - 2 D_x Y_h summed over the n planes, for each mu.
+    L_mu = S + mu^2 Q_2 + i mu K of the summed ``pieces`` (``_mode_pieces``)
+    for each mu.
 
     P_x commutes with the real part S and anticommutes with K, so in the
     basis (e_c + P_x e_c)/sqrt(2), i (e_c - P_x e_c)/sqrt(2) over the
@@ -224,27 +253,17 @@ def _mode_operators(grid, mu):
     exactly antisymmetric, so P_x holds bitwise and every block is read
     off two column sets of the node rows.
     """
-    n, m = grid.n, grid.g - 2
-    sizes = [m] * (2 * n)
-    s0 = q2 = k = 0
-    for i in range(n):
-        x, y = i, n + i
-        d_x, d_y = _centered(grid, x), _centered(grid, y)
-        x_half, y_half = (sp.diags(grid.axes[ax] / 2.0, format="csr") for ax in (x, y))
-        s0 = (s0 + _kron(sizes, {x: (d_x.T @ d_x).tocsr()})
-              + _kron(sizes, {y: (d_y.T @ d_y).tocsr()}))
-        q2 = q2 + _kron(sizes, {x: x_half @ x_half}) + _kron(sizes, {y: y_half @ y_half})
-        k = k + 2.0 * (_kron(sizes, {x: x_half, y: d_y}) - _kron(sizes, {x: d_x, y: y_half}))
+    s, q2, k = pieces
     reps, partners = _x_pairs(grid)
 
     def blocks(op, sign):
         rows = op.tocsr()[reps]
         return rows[:, reps] + sign * rows[:, partners]
 
-    s0, q2 = (sp.block_diag([blocks(op, 1.0), blocks(op, -1.0)], format="csr") for op in (s0, q2))
+    s, q2 = (sp.block_diag([blocks(op, 1.0), blocks(op, -1.0)], format="csr") for op in (s, q2))
     off = blocks(k, -1.0)
     coupling = sp.bmat([[None, -off], [-off.T, None]], format="csr")
-    return [(s0 + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
+    return [(s + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
 
 
 def _mode_lifts(grid, vecs, v):
@@ -297,9 +316,10 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """
     lap = build_kohn_laplacian(grid)
     mu, vecs = _t_modes(grid.g - 2, grid.spacings[-1])
-    slack = _certify_t_modes(grid, mu, vecs)
+    pieces = _mode_pieces(grid)
+    slack = _certify_t_modes(grid, mu, vecs, pieces)
     parts, modes = [], []
-    for mu_j, v, op in zip(mu, vecs.T, _mode_operators(grid, mu)):
+    for mu_j, v, op in zip(mu, vecs.T, _mode_operators(grid, mu, pieces)):
         res = smallest_eigenpairs(op, None, k=(k + 1) // 2, tol=tol, seed=seed,
                                   definite=True)
         top = float(res.eigenvalues[-1])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -350,7 +353,7 @@ def test_mode_operators_match_hermitian_modes():
     lap = build_kohn_laplacian(grid).toarray()
     m = grid.g - 2
     mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
-    ops = heisenberg._mode_operators(grid, mu)
+    ops = heisenberg._mode_operators(grid, mu, heisenberg._mode_pieces(grid))
     assert len(ops) == m // 2
     for op, v in zip(ops, vecs.T):
         assert op.shape == (m * m, m * m) and (op != op.T).nnz == 0
@@ -360,6 +363,51 @@ def test_mode_operators_match_hermitian_modes():
         exact = np.linalg.eigvalsh(hermitian)
         real = np.linalg.eigvalsh(op.toarray())
         assert np.abs(real - exact).max() < 1e-12 * exact[-1]
+
+
+def test_weyl_bound_covers_every_mode():
+    # c = ||S|| + mu_1^2 ||Q_2|| + mu_1 ||K|| (infinity norms, mu_1 the
+    # largest frequency) bounds the 2-norm of every mode operator; the
+    # Weyl slack built on it is positive and no larger than with the
+    # closed form c = n (2/h^2 + a^2/(2 h_t^2) + 2a/(h h_t))
+    grid = heisenberg_grid(1, 1.0, 1.0, 16)
+    mu, vecs = heisenberg._t_modes(grid.g - 2, grid.spacings[-1])
+    pieces = heisenberg._mode_pieces(grid)
+    bound = heisenberg._mode_bound(pieces, mu)
+    for op in heisenberg._mode_operators(grid, mu, pieces):
+        assert np.abs(np.linalg.eigvalsh(op.toarray())).max() <= bound
+    slack = heisenberg._certify_t_modes(grid, mu, vecs, pieces)
+    assert kohn_spectrum(grid, k=2).meta["weyl_slack"] == slack
+    for g in (16, 24, 32):
+        grid = heisenberg_grid(1, 1.0, 1.0, g)
+        mu, vecs = heisenberg._t_modes(grid.g - 2, grid.spacings[-1])
+        pieces = heisenberg._mode_pieces(grid)
+        slack = heisenberg._certify_t_modes(grid, mu, vecs, pieces)
+        h, _, h_t = grid.spacings
+        a = grid.axes[0][-1]
+        closed_form = 2.0 / h ** 2 + a ** 2 / (2.0 * h_t ** 2) + 2.0 * a / (h * h_t)
+        # the slack is linear in c
+        closed_form_slack = slack * closed_form / heisenberg._mode_bound(pieces, mu)
+        assert 0.0 < slack <= closed_form_slack
+
+
+def _calls(node, name):
+    return sum(isinstance(n, ast.Call) and name in
+               {getattr(n.func, "attr", None), getattr(n.func, "id", None)}
+               for n in ast.walk(node))
+
+
+def test_kron_called_only_by_plane_pieces():
+    # One statement of which 1-D factors make up the Kohn operator: the
+    # (x, y) pieces of _plane_pieces, which L and the t-modes both read
+    total = inside = 0
+    for path in sorted(Path(heisenberg.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        total += _calls(tree, "_kron")
+        inside += sum(_calls(f, "_kron") for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef) and f.name == "_plane_pieces"
+                      and path.name == "heisenberg.py")
+    assert total == inside > 0
 
 
 def test_perturbed_t_basis_is_refused(monkeypatch):
@@ -411,8 +459,9 @@ def test_mode_operators_at_n2():
     grid = heisenberg_grid(2, 1.0, 1.0, 16)
     m = grid.g - 2
     mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
-    heisenberg._certify_t_modes(grid, mu, vecs)
-    ops = heisenberg._mode_operators(grid, mu)
+    pieces = heisenberg._mode_pieces(grid)
+    heisenberg._certify_t_modes(grid, mu, vecs, pieces)
+    ops = heisenberg._mode_operators(grid, mu, pieces)
     assert len(ops) == m // 2
     for op in ops:
         assert op.shape == (m ** 4, m ** 4) and (op != op.T).nnz == 0
