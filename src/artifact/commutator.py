@@ -10,6 +10,11 @@ is rotated to diagonalize the compression of G.  The two sides are
 evaluated through independent matrix products (left side from [L,G],
 right side from the double commutator), so agreement is evidence the
 implementation of each is correct, not a tautology.
+
+``run_trials`` draws its random pairs into one stack per dimension and
+checks a stack at a time; only pairs whose L has a degenerate
+eigenspace take a loop of their own.  The single-pair checks are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -28,20 +33,34 @@ DEGENERACY_REL = 1e-8
 # Off-diagonal tolerance for G within an adapted eigenspace, relative
 # to ||L|| ||G||.
 ORTHOGONALITY_REL = 1e-10
+# Bytes of one dimension's L and G stacks together: run_trials checks a
+# stack when it is full.  This bounds the trials' working memory, about
+# 3 MB over dimensions 2-50, which lemma-check's peak RSS has room for.
+BUCKET_BYTES = 64 * 1024
 
 
 class CommutatorError(RuntimeError):
     """A degenerate-block numerator survived eigenspace adaptation."""
 
 
-def _check_symmetric(mat, name):
+def _check_square(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    dev = np.abs(mat - mat.T).max()
-    if dev > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"{name} is not symmetric: max deviation {dev:.3e}")
     return mat
+
+
+def _check_symmetric(stack, name):
+    """Raise ValueError naming ``name`` unless every matrix of ``stack``
+    is symmetric to 1e-12 of its largest entry (or of 1)."""
+    dev = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))))
+    if bad.size:
+        raise ValueError(f"{name} is not symmetric: max deviation {dev[bad[0]]:.3e}")
+
+
+def _symmetrized(stack):
+    return 0.5 * (stack + stack.transpose(0, 2, 1))
 
 
 def _rotate_blocks(vecs, g_mat, blocks):
@@ -54,74 +73,89 @@ def _rotate_blocks(vecs, g_mat, blocks):
             vecs[:, cl] = block @ rot
 
 
-class _Adapted(NamedTuple):
-    """What both checks need of one (L, G) pair: G, the eigendecomposition
-    of L with its degenerate ``blocks`` (gap ``delta``) rotated to
-    diagonalize G, [L, G] and ||G||_2."""
-
-    g_mat: np.ndarray
-    vals: np.ndarray
-    vecs: np.ndarray
-    blocks: list
-    delta: float
-    comm: np.ndarray
-    norm_g: float
-
-
-def _adapt(l_mat, g_mat):
-    l_mat = _check_symmetric(l_mat, "L")
-    g_mat = _check_symmetric(g_mat, "G")
-    vals, vecs = np.linalg.eigh(l_mat)
-    spread = vals[-1] - vals[0]
-    delta = DEGENERACY_REL * (spread if spread > 0 else 1.0)
-    blocks = cluster_slices(vals, delta)
-    _rotate_blocks(vecs, g_mat, blocks)
-    comm = l_mat @ g_mat - g_mat @ l_mat
-    return _Adapted(g_mat, vals, vecs, blocks, delta, comm, float(np.linalg.norm(g_mat, 2)))
-
-
-def _identity_residual(adapted):
-    g_mat, vals, vecs, blocks, delta, comm, norm_g = adapted
-    norm_l = float(np.abs(vals).max()) if len(vals) else 0.0
-    num_tol = ORTHOGONALITY_REL * max(norm_l * norm_g, 1e-300)
-    gaps = vals[None, :] - vals[:, None]
-    degenerate = np.abs(gaps) <= delta
-    off_diag = degenerate & ~np.eye(len(vals), dtype=bool)
-
-    for attempt in range(2):
-        b_mat = vecs.T @ comm @ vecs
-        bad = np.abs(b_mat[off_diag])
-        if not bad.size or bad.max() <= num_tol:
-            break
-        if attempt == 1:
-            raise CommutatorError(
-                f"degenerate cross term {bad.max():.3e} exceeds tolerance "
-                f"{num_tol:.3e} after eigenspace adaptation")
-        # Re-adapt once from the current basis: recomputing the compression
-        # of G against the already-rotated block polishes roundoff drift.
-        # On a copy: the coupling check reads the first-adapted basis.
-        vecs = vecs.copy()
-        _rotate_blocks(vecs, g_mat, blocks)
-
-    weights = np.where(degenerate, 0.0, b_mat ** 2 / np.where(degenerate, 1.0, gaps))
-    lhs = weights.sum(axis=1)
-
-    double = comm @ g_mat - g_mat @ comm
-    rhs = -0.5 * np.einsum("ij,ij->j", vecs, double @ vecs)
-
-    scale = max(norm_l * norm_g ** 2, 1e-300)
-    return np.abs(lhs - rhs), scale
-
-
-def _max_coupling(adapted):
+def _max_coupling(vecs, comm, blocks):
     worst = 0.0
-    for cl in adapted.blocks:
+    for cl in blocks:
         if cl.stop - cl.start > 1:
-            block = adapted.vecs[:, cl]
-            cross = block.T @ adapted.comm @ block
+            block = vecs[:, cl]
+            cross = block.T @ comm @ block
             np.fill_diagonal(cross, 0.0)
             worst = max(worst, float(np.abs(cross).max()))
     return worst
+
+
+class _Checked(NamedTuple):
+    """Both checks on a stack of (L, G) pairs of one dimension, per pair:
+    the identity residual of every index j, the scale ||L|| ||G||^2, the
+    largest cross term of [L, G] inside a degenerate eigenspace and its
+    scale ||L|| ||G||."""
+
+    residuals: np.ndarray
+    scale: list
+    coupling: list
+    coupling_scale: list
+
+
+def _check_stack(l_mat, g_mat):
+    """Check the identity on every pair of the stacks ``l_mat``, ``g_mat``.
+
+    The eigendecompositions, commutators and both sides of the identity
+    are computed for the whole stack; only pairs whose L has two
+    eigenvalues within the degeneracy gap take a Python loop, which
+    rotates their degenerate blocks to diagonalize G, reads the coupling
+    in that basis and re-adapts once if a cross term survives.  Raises
+    CommutatorError if one survives the re-adaptation too.
+    """
+    _check_symmetric(l_mat, "L")
+    _check_symmetric(g_mat, "G")
+    vals, vecs = np.linalg.eigh(l_mat)
+    spread = vals[:, -1] - vals[:, 0]
+    delta = DEGENERACY_REL * np.where(spread > 0, spread, 1.0)
+    clustered = np.flatnonzero((np.diff(vals, axis=1) <= delta[:, None]).any(axis=1))
+    blocks = {j: cluster_slices(vals[j], delta[j]) for j in clustered.tolist()}
+    for j, cls in blocks.items():
+        _rotate_blocks(vecs[j], g_mat[j], cls)
+    comm = l_mat @ g_mat - g_mat @ l_mat
+    # ||G||_2 from the stacked norm is bitwise the per-matrix one; the
+    # scales are formed in Python floats, whose ** 2 can differ from
+    # numpy's in the last bit.
+    norm_l = np.abs(vals).max(axis=1).tolist()
+    norm_g = np.linalg.norm(g_mat, 2, axis=(1, 2)).tolist()
+    b_mat = vecs.transpose(0, 2, 1) @ comm @ vecs
+    gaps = vals[:, None, :] - vals[:, :, None]
+    degenerate = np.abs(gaps) <= delta[:, None, None]
+
+    coupling = [0.0] * len(vals)
+    for j, cls in blocks.items():
+        coupling[j] = _max_coupling(vecs[j], comm[j], cls)
+        off_diag = degenerate[j] & ~np.eye(vals.shape[1], dtype=bool)
+        num_tol = ORTHOGONALITY_REL * max(norm_l[j] * norm_g[j], 1e-300)
+        for attempt in range(2):
+            bad = np.abs(b_mat[j][off_diag])
+            if not bad.size or bad.max() <= num_tol:
+                break
+            if attempt == 1:
+                raise CommutatorError(
+                    f"degenerate cross term {bad.max():.3e} exceeds tolerance "
+                    f"{num_tol:.3e} after eigenspace adaptation")
+            # Re-adapt once from the current basis: recomputing the
+            # compression of G against the already-rotated block polishes
+            # roundoff drift.  The coupling above read the first basis.
+            _rotate_blocks(vecs[j], g_mat[j], cls)
+            b_mat[j] = vecs[j].T @ comm[j] @ vecs[j]
+
+    weights = np.where(degenerate, 0.0, b_mat ** 2 / np.where(degenerate, 1.0, gaps))
+    lhs = weights.sum(axis=2)
+    double = comm @ g_mat - g_mat @ comm
+    rhs = -0.5 * np.einsum("bij,bij->bj", vecs, double @ vecs)
+    return _Checked(np.abs(lhs - rhs),
+                    [max(nl * ng ** 2, 1e-300) for nl, ng in zip(norm_l, norm_g)],
+                    coupling,
+                    [max(nl * ng, 1e-300) for nl, ng in zip(norm_l, norm_g)])
+
+
+def _one_pair(l_mat, g_mat):
+    return _check_stack(_check_square(l_mat, "L")[None], _check_square(g_mat, "G")[None])
 
 
 def lp_identity_residual(l_mat, g_mat):
@@ -133,21 +167,18 @@ def lp_identity_residual(l_mat, g_mat):
     CommutatorError if a cross term inside a degenerate eigenspace
     exceeds the orthogonality tolerance even after re-adaptation.
     """
-    return _identity_residual(_adapt(l_mat, g_mat))
+    checked = _one_pair(l_mat, g_mat)
+    return checked.residuals[0], checked.scale[0]
 
 
 def degenerate_orthogonality_check(l_mat, g_mat):
     """Largest commutator cross term within any degenerate eigenspace.
 
     After adaptation this must vanish to roundoff; the contract is
-    max <= 1e-10 ||L|| ||G||.
+    max <= 1e-10 ||L|| ||G||.  Raises CommutatorError as
+    ``lp_identity_residual`` does.
     """
-    return _max_coupling(_adapt(l_mat, g_mat))
-
-
-def _random_symmetric(rng, dim):
-    mat = rng.standard_normal((dim, dim))
-    return 0.5 * (mat + mat.T)
+    return _one_pair(l_mat, g_mat).coupling[0]
 
 
 def _random_degenerate(rng, dim):
@@ -171,22 +202,49 @@ def run_trials(n_trials, dim_min=2, dim_max=30, seed=0, degenerate=False):
     against.  Constructed-degeneracy trials additionally record the
     largest cross term of G inside a degenerate eigenspace after
     adaptation (``max_coupling``) and its scale ||L|| ||G||.
+
+    The trials are drawn in order, each into the bucket of its
+    dimension, and a bucket is checked as one stack when it holds
+    BUCKET_BYTES of matrices, or at the end.  The records are those of
+    checking the trials one at a time.
     """
     if dim_min < 2 or dim_max < dim_min:
         raise ValueError(f"need 2 <= dim_min <= dim_max, got [{dim_min}, {dim_max}]")
     rng = np.random.default_rng(seed)
-    records = []
+    records = [None] * n_trials
+    buckets = {}
+
+    def flush(dim):
+        l_mat, g_mat, trials = buckets[dim]
+        count = len(trials)
+        l_mat = l_mat[:count] if degenerate else _symmetrized(l_mat[:count])
+        checked = _check_stack(l_mat, _symmetrized(g_mat[:count]))
+        max_residual = checked.residuals.max(axis=1).tolist()
+        for j, trial in enumerate(trials):
+            record = {"trial": trial, "dim": dim, "degenerate": bool(degenerate),
+                      "max_residual": max_residual[j], "scale": checked.scale[j]}
+            if degenerate:
+                record["max_coupling"] = checked.coupling[j]
+                record["coupling_scale"] = checked.coupling_scale[j]
+            records[trial] = record
+        trials.clear()
+
     for trial in range(n_trials):
         dim = int(rng.integers(dim_min, dim_max + 1))
-        l_mat = (_random_degenerate if degenerate else _random_symmetric)(rng, dim)
-        g_mat = _random_symmetric(rng, dim)
-        adapted = _adapt(l_mat, g_mat)
-        residuals, scale = _identity_residual(adapted)
-        record = {"trial": trial, "dim": dim, "degenerate": bool(degenerate),
-                  "max_residual": float(residuals.max()), "scale": scale}
+        if dim not in buckets:
+            size = max(1, BUCKET_BYTES // (2 * 8 * dim * dim))
+            buckets[dim] = (np.empty((size, dim, dim)), np.empty((size, dim, dim)), [])
+        l_mat, g_mat, trials = buckets[dim]
+        j = len(trials)
         if degenerate:
-            norm_l = np.abs(adapted.vals).max()
-            record["max_coupling"] = _max_coupling(adapted)
-            record["coupling_scale"] = float(max(norm_l * adapted.norm_g, 1e-300))
-        records.append(record)
+            l_mat[j] = _random_degenerate(rng, dim)
+        else:
+            rng.standard_normal(out=l_mat[j])
+        rng.standard_normal(out=g_mat[j])
+        trials.append(trial)
+        if len(trials) == len(l_mat):
+            flush(dim)
+    for dim, (_, _, trials) in buckets.items():
+        if trials:
+            flush(dim)
     return records

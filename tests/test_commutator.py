@@ -1,8 +1,12 @@
+import tracemalloc
+
+import commutator_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import commutator
 from artifact.commutator import (CommutatorError,
                                  degenerate_orthogonality_check,
                                  lp_identity_residual, run_trials)
@@ -110,3 +114,69 @@ def test_identity_random_property(dim, data_seed):
     assert residuals.max() <= 1e-9 * scale
     lhs, rhs = brute_force_sides(b + b.T, c + c.T)
     assert np.abs(lhs - rhs).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n_trials, seed, degenerate",
+                         [(2000, 0, False), (2000, 3, False), (500, 1, True), (500, 4, True)])
+def test_stacked_trials_match_per_trial_oracle(n_trials, seed, degenerate):
+    recs = run_trials(n_trials, dim_min=2, dim_max=50, seed=seed, degenerate=degenerate)
+    oracle = commutator_oracle.run_trials(n_trials, dim_min=2, dim_max=50, seed=seed,
+                                          degenerate=degenerate)
+    # == on floats: every record key is bitwise the per-trial value
+    assert recs == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_trials=st.integers(1, 60), dim_min=st.integers(2, 50), extra=st.integers(0, 3),
+       seed=st.integers(0, 10**6), degenerate=st.booleans())
+def test_stacked_trials_match_oracle_property(n_trials, dim_min, extra, seed, degenerate):
+    # big dimensions fill their buckets (one trial at dimension 50),
+    # small ones leave them for the final flush, and a single trial is a
+    # one-pair stack; extra == 0 gives dim_min == dim_max
+    args = (n_trials, dim_min, min(dim_min + extra, 50), seed, degenerate)
+    assert run_trials(*args) == commutator_oracle.run_trials(*args)
+
+
+def _leave_eigenspace(vecs, g_mat, blocks):
+    """A broken adaptation: each degenerate block takes the eigenvectors
+    one place to its left, which belong to other eigenvalues."""
+    for cl in blocks:
+        if cl.stop - cl.start > 1:
+            vecs[:, cl] = np.roll(vecs, 1, axis=1)[:, cl]
+
+
+def test_broken_adaptation_raises(monkeypatch):
+    # A no-op rotation would pass: [L, G] compresses to 0 on an exact
+    # eigenspace of L in any basis.  A basis that leaves the eigenspace
+    # keeps its cross terms through the re-adaptation, stacked or not.
+    monkeypatch.setattr(commutator, "_rotate_blocks", _leave_eigenspace)
+    with pytest.raises(CommutatorError, match="after eigenspace adaptation"):
+        run_trials(20, dim_min=4, dim_max=12, seed=1, degenerate=True)
+    with pytest.raises(CommutatorError, match="after eigenspace adaptation"):
+        commutator_oracle.run_trials(20, dim_min=4, dim_max=12, seed=1, degenerate=True)
+
+
+@pytest.mark.parametrize("name", ["L", "G"])
+def test_stacked_symmetry_check_names_the_matrix(name):
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((2, 5, 5, 5))
+    stacks = 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+    commutator._check_stack(*stacks)
+    stacks[0 if name == "L" else 1, 3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=f"{name} is not symmetric"):
+        commutator._check_stack(*stacks)
+
+
+def test_trial_buckets_bound_working_memory():
+    # The lemma-check peak RSS has a 10% bound over a process of about
+    # 62 MB, so the per-dimension buckets may hold only a few MB in all:
+    # 3.0 MB at BUCKET_BYTES = 64 KB, 13 MB at four times that.
+    run_trials(10, dim_min=2, dim_max=50)
+    tracemalloc.start()
+    try:
+        recs = run_trials(2000, dim_min=2, dim_max=50)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 2000
+    assert peak - retained < 4 * 2**20
