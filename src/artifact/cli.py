@@ -24,16 +24,15 @@ import numpy as np
 from . import __version__
 from .audit import (AUDIT_TOL, M_DIM, audit_closed, audit_dirichlet, audit_kohn,
                     closed_spectra, discretization_allowance, emit_report)
-from .commutator import run_trials
+from .commutator import ORTHOGONALITY_REL, run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
 from .heisenberg import heisenberg_grid, kohn_spectrum
 from .mesh import generate, load_mesh, save_mesh
 
-# Relative residual allowed for the commutator identity trials, and the
-# degenerate-eigenspace coupling allowed after adaptation.
+# Relative residual allowed for the commutator identity trials.  The
+# coupling inside an eigenspace is held to commutator.ORTHOGONALITY_REL.
 LEMMA_TOL = 1e-9
-COUPLING_TOL = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,11 +247,11 @@ def _cmd_lemma_check(args):
         if degenerate:
             coupling = max(r["max_coupling"] / r["coupling_scale"] for r in records)
             run["max_relative_coupling"] = coupling
-            ok = ok and coupling <= COUPLING_TOL
+            ok = ok and coupling <= ORTHOGONALITY_REL
         reports.append(run)
     payload = {"dim_min": args.dim_min, "dim_max": args.dim_max,
                "seed": args.seed, "tolerance": LEMMA_TOL,
-               "coupling_tolerance": COUPLING_TOL,
+               "coupling_tolerance": ORTHOGONALITY_REL,
                "runs": reports, "pass": bool(ok)}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if ok else 2

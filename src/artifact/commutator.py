@@ -5,16 +5,22 @@ For symmetric matrices L, G with L u_j = lambda_j u_j, the identity
     sum_{k : lambda_k != lambda_j}  <[L,G] u_j, u_k>^2 / (lambda_k - lambda_j)
         = -1/2 <[[L,G],G] u_j, u_j>
 
-holds for every j once the eigenbasis inside each degenerate eigenspace
-is rotated to diagonalize the compression of G.  The two sides are
+holds for every j in any orthonormal eigenbasis of L.  Since
+<[L,G] u_j, u_k> = (lambda_k - lambda_j) <G u_j, u_k>, each term is
+(lambda_k - lambda_j) <G u_j, u_k>^2, and the terms inside a degenerate
+eigenspace are 0 whichever basis of it eigh returns.  The two sides are
 evaluated through independent matrix products (left side from [L,G],
 right side from the double commutator), so agreement is evidence the
 implementation of each is correct, not a tautology.
 
+The same factor makes the coupling <[L,G] u_j, u_k> of two eigenvectors
+of one eigenspace vanish.  Checking it to ORTHOGONALITY_REL certifies
+that eigh's basis stays inside each eigenspace of L, which the sum
+above assumes when it leaves those pairs out.
+
 ``run_trials`` draws its random pairs into one stack per dimension and
-checks a stack at a time; only pairs whose L has a degenerate
-eigenspace take a loop of their own.  The single-pair checks are
-stacks of one.
+checks each stack in one pass with no loop over its pairs.  The
+single-pair checks are stacks of one.
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolve import cluster_slices
-
 __all__ = ["CommutatorError", "lp_identity_residual",
            "degenerate_orthogonality_check", "run_trials"]
 
 # Relative gap below which two eigenvalues count as degenerate.
 DEGENERACY_REL = 1e-8
-# Off-diagonal tolerance for G within an adapted eigenspace, relative
-# to ||L|| ||G||.
+# Tolerance for the coupling [L, G] of two eigenvectors of one
+# eigenspace, relative to ||L|| ||G||.
 ORTHOGONALITY_REL = 1e-10
 # Bytes of one dimension's L and G stacks together: run_trials checks a
 # stack when it is full.  This bounds the trials' working memory, about
@@ -40,7 +44,8 @@ BUCKET_BYTES = 64 * 1024
 
 
 class CommutatorError(RuntimeError):
-    """A degenerate-block numerator survived eigenspace adaptation."""
+    """Two eigenvectors of one eigenspace of L are coupled by [L, G]: the
+    eigenbasis has left that eigenspace."""
 
 
 def _check_square(mat, name):
@@ -63,32 +68,11 @@ def _symmetrized(stack):
     return 0.5 * (stack + stack.transpose(0, 2, 1))
 
 
-def _rotate_blocks(vecs, g_mat, blocks):
-    """Rotate each degenerate block of ``vecs`` in place to diagonalize G."""
-    for cl in blocks:
-        if cl.stop - cl.start > 1:
-            block = vecs[:, cl]
-            comp = block.T @ g_mat @ block
-            _, rot = np.linalg.eigh(0.5 * (comp + comp.T))
-            vecs[:, cl] = block @ rot
-
-
-def _max_coupling(vecs, comm, blocks):
-    worst = 0.0
-    for cl in blocks:
-        if cl.stop - cl.start > 1:
-            block = vecs[:, cl]
-            cross = block.T @ comm @ block
-            np.fill_diagonal(cross, 0.0)
-            worst = max(worst, float(np.abs(cross).max()))
-    return worst
-
-
 class _Checked(NamedTuple):
     """Both checks on a stack of (L, G) pairs of one dimension, per pair:
     the identity residual of every index j, the scale ||L|| ||G||^2, the
-    largest cross term of [L, G] inside a degenerate eigenspace and its
-    scale ||L|| ||G||."""
+    largest coupling of two eigenvectors of one eigenspace and its scale
+    ||L|| ||G||."""
 
     residuals: np.ndarray
     scale: list
@@ -99,59 +83,44 @@ class _Checked(NamedTuple):
 def _check_stack(l_mat, g_mat):
     """Check the identity on every pair of the stacks ``l_mat``, ``g_mat``.
 
-    The eigendecompositions, commutators and both sides of the identity
-    are computed for the whole stack; only pairs whose L has two
-    eigenvalues within the degeneracy gap take a Python loop, which
-    rotates their degenerate blocks to diagonalize G, reads the coupling
-    in that basis and re-adapts once if a cross term survives.  Raises
-    CommutatorError if one survives the re-adaptation too.
+    One pass over the whole stack: the eigendecompositions, [L, G] in
+    the eigenbasis (B = V^T [L, G] V), both sides of the identity and
+    ||G||_2.  The coupling of a pair is its largest off-diagonal |B_jk|
+    with |lambda_k - lambda_j| <= delta; raises CommutatorError if one
+    exceeds ORTHOGONALITY_REL ||L|| ||G||.
     """
     _check_symmetric(l_mat, "L")
     _check_symmetric(g_mat, "G")
     vals, vecs = np.linalg.eigh(l_mat)
     spread = vals[:, -1] - vals[:, 0]
     delta = DEGENERACY_REL * np.where(spread > 0, spread, 1.0)
-    clustered = np.flatnonzero((np.diff(vals, axis=1) <= delta[:, None]).any(axis=1))
-    blocks = {j: cluster_slices(vals[j], delta[j]) for j in clustered.tolist()}
-    for j, cls in blocks.items():
-        _rotate_blocks(vecs[j], g_mat[j], cls)
-    comm = l_mat @ g_mat - g_mat @ l_mat
-    # ||G||_2 from the stacked norm is bitwise the per-matrix one; the
-    # scales are formed in Python floats, whose ** 2 can differ from
-    # numpy's in the last bit.
-    norm_l = np.abs(vals).max(axis=1).tolist()
-    norm_g = np.linalg.norm(g_mat, 2, axis=(1, 2)).tolist()
-    b_mat = vecs.transpose(0, 2, 1) @ comm @ vecs
     gaps = vals[:, None, :] - vals[:, :, None]
     degenerate = np.abs(gaps) <= delta[:, None, None]
-
-    coupling = [0.0] * len(vals)
-    for j, cls in blocks.items():
-        coupling[j] = _max_coupling(vecs[j], comm[j], cls)
-        off_diag = degenerate[j] & ~np.eye(vals.shape[1], dtype=bool)
-        num_tol = ORTHOGONALITY_REL * max(norm_l[j] * norm_g[j], 1e-300)
-        for attempt in range(2):
-            bad = np.abs(b_mat[j][off_diag])
-            if not bad.size or bad.max() <= num_tol:
-                break
-            if attempt == 1:
-                raise CommutatorError(
-                    f"degenerate cross term {bad.max():.3e} exceeds tolerance "
-                    f"{num_tol:.3e} after eigenspace adaptation")
-            # Re-adapt once from the current basis: recomputing the
-            # compression of G against the already-rotated block polishes
-            # roundoff drift.  The coupling above read the first basis.
-            _rotate_blocks(vecs[j], g_mat[j], cls)
-            b_mat[j] = vecs[j].T @ comm[j] @ vecs[j]
+    comm = l_mat @ g_mat - g_mat @ l_mat
+    b_mat = vecs.transpose(0, 2, 1) @ comm @ vecs
+    norm_l = np.abs(vals).max(axis=1)
+    # ||G||_2 from the stacked norm is bitwise the per-matrix one
+    norm_g = np.linalg.norm(g_mat, 2, axis=(1, 2))
+    coupling_scale = np.maximum(norm_l * norm_g, 1e-300)
+    cross = degenerate & ~np.eye(vals.shape[1], dtype=bool)
+    coupling = np.where(cross, np.abs(b_mat), 0.0).max(axis=(1, 2))
+    over = np.flatnonzero(coupling > ORTHOGONALITY_REL * coupling_scale)
+    if over.size:
+        j = over[0]
+        raise CommutatorError(
+            f"degenerate cross term {coupling[j]:.3e} exceeds tolerance "
+            f"{ORTHOGONALITY_REL * coupling_scale[j]:.3e}: the eigenbasis "
+            f"leaves an eigenspace")
 
     weights = np.where(degenerate, 0.0, b_mat ** 2 / np.where(degenerate, 1.0, gaps))
     lhs = weights.sum(axis=2)
     double = comm @ g_mat - g_mat @ comm
     rhs = -0.5 * np.einsum("bij,bij->bj", vecs, double @ vecs)
-    return _Checked(np.abs(lhs - rhs),
-                    [max(nl * ng ** 2, 1e-300) for nl, ng in zip(norm_l, norm_g)],
-                    coupling,
-                    [max(nl * ng, 1e-300) for nl, ng in zip(norm_l, norm_g)])
+    # float_power is libm's pow, as a Python float's ** is; numpy's ** 2
+    # is a multiply, which can differ in the last bit
+    scale = np.maximum(norm_l * np.float_power(norm_g, 2), 1e-300)
+    return _Checked(np.abs(lhs - rhs), scale.tolist(), coupling.tolist(),
+                    coupling_scale.tolist())
 
 
 def _one_pair(l_mat, g_mat):
@@ -164,19 +133,21 @@ def lp_identity_residual(l_mat, g_mat):
     Returns ``(residuals, scale)`` where ``residuals[j]`` is the absolute
     difference of the two sides for eigenvector j and ``scale`` is
     ||L||_2 ||G||_2^2, the size of the terms being cancelled.  Raises
-    CommutatorError if a cross term inside a degenerate eigenspace
-    exceeds the orthogonality tolerance even after re-adaptation.
+    CommutatorError if the eigenbasis of L leaves an eigenspace (see
+    ``degenerate_orthogonality_check``).
     """
     checked = _one_pair(l_mat, g_mat)
     return checked.residuals[0], checked.scale[0]
 
 
 def degenerate_orthogonality_check(l_mat, g_mat):
-    """Largest commutator cross term within any degenerate eigenspace.
+    """Largest coupling <[L,G] u_j, u_k> of two eigenvectors of one
+    eigenspace of L.
 
-    After adaptation this must vanish to roundoff; the contract is
-    max <= 1e-10 ||L|| ||G||.  Raises CommutatorError as
-    ``lp_identity_residual`` does.
+    It vanishes in any basis of an exact eigenspace, so it measures only
+    how far eigh's basis leaves the eigenspaces; the contract is
+    max <= ORTHOGONALITY_REL ||L|| ||G||, and CommutatorError is raised
+    above it, here and in ``lp_identity_residual``.
     """
     return _one_pair(l_mat, g_mat).coupling[0]
 
@@ -200,8 +171,10 @@ def run_trials(n_trials, dim_min=2, dim_max=30, seed=0, degenerate=False):
     Each record holds the trial dimension, the maximum residual over
     indices j, and the scale ||L|| ||G||^2 it should be compared
     against.  Constructed-degeneracy trials additionally record the
-    largest cross term of G inside a degenerate eigenspace after
-    adaptation (``max_coupling``) and its scale ||L|| ||G||.
+    largest coupling of two eigenvectors of one eigenspace
+    (``max_coupling``) and its scale ||L|| ||G||.  Every trial raises
+    CommutatorError if its coupling exceeds ORTHOGONALITY_REL times that
+    scale.
 
     The trials are drawn in order, each into the bucket of its
     dimension, and a bucket is checked as one stack when it holds

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import commutator_oracle
 import numpy as np
@@ -32,12 +34,28 @@ def test_two_by_two_hand_oracle():
     assert scale == 2.0
 
 
-def test_matches_brute_force_reference():
+def _random_pair():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((6, 6))
-    l_mat = b + b.T
     c = rng.standard_normal((6, 6))
-    g_mat = c + c.T
+    return b + b.T, c + c.T
+
+
+def _triple_degenerate_pair():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    d = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0])
+    l_mat = (q * d) @ q.T
+    b = rng.standard_normal((8, 8))
+    return 0.5 * (l_mat + l_mat.T), b + b.T
+
+
+@pytest.mark.parametrize("pair", [_random_pair, _triple_degenerate_pair],
+                         ids=["random", "triple-degenerate"])
+def test_matches_brute_force_reference(pair):
+    # the brute force sums over every k, eigenspaces included, in eigh's
+    # basis: the identity needs no rotation inside an eigenspace
+    l_mat, g_mat = pair()
     residuals, scale = lp_identity_residual(l_mat, g_mat)
     lhs, rhs = brute_force_sides(l_mat, g_mat)
     assert np.abs(np.abs(lhs - rhs) - residuals).max() < 1e-12 * scale
@@ -45,13 +63,7 @@ def test_matches_brute_force_reference():
 
 
 def test_constructed_triple_degeneracy():
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    d = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0])
-    l_mat = (q * d) @ q.T
-    l_mat = 0.5 * (l_mat + l_mat.T)
-    b = rng.standard_normal((8, 8))
-    g_mat = b + b.T
+    l_mat, g_mat = _triple_degenerate_pair()
     residuals, scale = lp_identity_residual(l_mat, g_mat)
     assert residuals.max() <= 1e-9 * scale
     norm_l = np.abs(np.linalg.eigvalsh(l_mat)).max()
@@ -137,23 +149,31 @@ def test_stacked_trials_match_oracle_property(n_trials, dim_min, extra, seed, de
     assert run_trials(*args) == commutator_oracle.run_trials(*args)
 
 
-def _leave_eigenspace(vecs, g_mat, blocks):
-    """A broken adaptation: each degenerate block takes the eigenvectors
-    one place to its left, which belong to other eigenvalues."""
-    for cl in blocks:
-        if cl.stop - cl.start > 1:
-            vecs[:, cl] = np.roll(vecs, 1, axis=1)[:, cl]
+def test_basis_leaving_an_eigenspace_raises(monkeypatch):
+    # Any basis of an exact eigenspace passes; one that mixes each
+    # eigenvector with its neighbour, across eigenvalues, must not,
+    # stacked or not.
+    eigh = np.linalg.eigh
 
+    def mixed(mat):
+        vals, vecs = eigh(mat)
+        return vals, vecs + 1e-3 * np.roll(vecs, 1, axis=-1)
 
-def test_broken_adaptation_raises(monkeypatch):
-    # A no-op rotation would pass: [L, G] compresses to 0 on an exact
-    # eigenspace of L in any basis.  A basis that leaves the eigenspace
-    # keeps its cross terms through the re-adaptation, stacked or not.
-    monkeypatch.setattr(commutator, "_rotate_blocks", _leave_eigenspace)
-    with pytest.raises(CommutatorError, match="after eigenspace adaptation"):
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    with pytest.raises(CommutatorError, match="leaves an eigenspace"):
         run_trials(20, dim_min=4, dim_max=12, seed=1, degenerate=True)
-    with pytest.raises(CommutatorError, match="after eigenspace adaptation"):
+    with pytest.raises(CommutatorError, match="leaves an eigenspace"):
         commutator_oracle.run_trials(20, dim_min=4, dim_max=12, seed=1, degenerate=True)
+
+
+def test_check_stack_has_no_loop():
+    # every trial of a stack is checked in one pass: no statement or
+    # comprehension in _check_stack loops over the trials
+    tree = ast.parse(Path(commutator.__file__).read_text())
+    (check,) = [f for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "_check_stack"]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(check) if isinstance(node, loops)]
 
 
 @pytest.mark.parametrize("name", ["L", "G"])
