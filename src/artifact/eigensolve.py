@@ -8,6 +8,8 @@ carries a residual certificate re-verified by an independent matvec;
 the count of eigenvalues below max(lambda) is cross-checked against the
 inertia of (A - lambda' M) from a no-pivot symmetric LDU factorization,
 which guards against silently missed members of clusters.
+``inertia_count`` is that count, for any shift: callers use it to find
+which parts of a spectrum have values below a bound before solving them.
 ``merged_eigenpairs`` assembles the k lowest pairs of a pencil from
 certified solves of its invariant subspaces and certifies them the same
 way, without factoring the pencil.
@@ -24,7 +26,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
-           "smallest_eigenpairs", "merged_eigenpairs", "solve_pair"]
+           "smallest_eigenpairs", "merged_eigenpairs", "inertia_count", "solve_pair"]
 
 DENSE_CUTOFF = 64
 
@@ -158,7 +160,6 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     else:
         if k > dim - 2:
             raise ValueError(f"k={k} exceeds dim - 2 = {dim - 2} on the iterative path")
-        m_full = m_op if m_op is not None else sp.identity(dim, format="csr")
         # When the inertia count shows that a tight cluster lost a member
         # to the Lanczos iteration (typical for exactly doubled spectra),
         # recover once with a deeper Krylov space and re-certify everything.
@@ -167,7 +168,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
             vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
             residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
             try:
-                meta.update(_verify_inertia(a, m_full, vals, k))
+                meta.update(_verify_inertia(a, mass, vals, k))
                 break
             except CertificationError:
                 if extra:
@@ -279,32 +280,55 @@ def _gap_shift(vals, k):
     return float(vals[-1]) + 1e-6 * scale, 1e-7 * scale
 
 
+def inertia_count(a, mass, shift, step):
+    """Count of pencil eigenvalues below ``shift`` by LDU diagonal signs.
+
+    ``mass`` is as for ``smallest_eigenpairs``: the diagonal of M, or
+    None for the identity.  One no-pivot symmetric factorization of
+    (A - shift M) gives the count by Sylvester's law of inertia when its
+    row and column permutations agree and every pivot is finite and
+    nonzero.  On a pivot breakdown the shift moves up by a quarter
+    ``step`` and the factorization is tried again, four attempts in
+    all, so the shift only ever moves upward; after the last attempt
+    ``CertificationError`` is raised.  Returns the count, the shift it
+    holds at and the entries SuperLU stored for the factorization.
+    """
+    if not step >= 0.0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    m = _mass_matrix(mass, a.shape[0])[0]
+    if m is None:
+        m = sp.identity(a.shape[0], format="csr")
+    for attempt in range(4):
+        lam = shift + step * attempt / 4.0
+        try:
+            lu = _factor_symmetric((a - lam * m).tocsc())
+        except RuntimeError:  # an exactly zero pivot
+            continue
+        perm_ok = np.array_equal(lu.perm_r, lu.perm_c)
+        diag = lu.U.diagonal()
+        nnz = int(lu.nnz)
+        del lu
+        if perm_ok and diag.min() != 0.0 and np.isfinite(diag).all():
+            return int((diag < 0).sum()), lam, nnz
+    raise CertificationError("inertia factorization kept pivoting; count unavailable")
+
+
 def _verify_inertia(a, m, vals, k):
-    """Count pencil eigenvalues below lambda' by LDU diagonal signs.
+    """Count pencil eigenvalues below lambda' with ``inertia_count``.
 
     lambda' is placed in the widest gap among the computed values at or
     beyond index k (the +4 padding), so no uncomputed eigenvalue can sit
     below it unless the iteration actually missed one -- which is
     exactly what the count detects.
     """
-    base, half = _gap_shift(vals, k)
-    for attempt in range(4):
-        lam = base + half * attempt / 4.0
-        lu = _factor_symmetric((a - lam * m).tocsc())
-        perm_ok = np.array_equal(lu.perm_r, lu.perm_c)
-        diag = lu.U.diagonal()
-        nnz = int(lu.nnz)
-        del lu
-        if perm_ok and diag.min() != 0.0 and np.isfinite(diag).all():
-            negative = int((diag < 0).sum())
-            expected = int((vals < lam).sum())
-            if negative != expected:
-                raise CertificationError(
-                    f"inertia count {negative} at lambda'={lam!r} does not match "
-                    f"{expected} computed eigenvalues: missed cluster members")
-            return {"inertia_checked": True, "inertia_count": negative,
-                    "inertia_shift": lam, "inertia_nnz": nnz}
-    raise CertificationError("inertia factorization kept pivoting; count unavailable")
+    negative, lam, nnz = inertia_count(a, m, *_gap_shift(vals, k))
+    expected = int((vals < lam).sum())
+    if negative != expected:
+        raise CertificationError(
+            f"inertia count {negative} at lambda'={lam!r} does not match "
+            f"{expected} computed eigenvalues: missed cluster members")
+    return {"inertia_checked": True, "inertia_count": negative,
+            "inertia_shift": lam, "inertia_nnz": nnz}
 
 
 def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
@@ -326,10 +350,14 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     placed where ``_verify_inertia`` would put it for the union values
     strictly below the bound followed by the bound itself.  When that
     is not below the bound (no wide gap at or past the k-th value), the
-    shift goes to the middle of the last gap below the bound, so that it
-    never lands on a computed eigenvalue.  Nothing is factored here: the
-    count is read off the merged values (``inertia_source: "merged"``),
-    and rests on the inertia checks of the part solves.
+    shift goes to the middle of the last clear gap below the bound, one
+    wider than 1e-8 of the spectrum's scale, so that it keeps clear of
+    every computed eigenvalue: two values a rounding error apart may be
+    one eigenvalue computed twice, and a shift between them would count
+    it on one side in the merge and on the other in a factorization of
+    the pencil.  Nothing is factored here: the count is read off the
+    merged values (``inertia_source: "merged"``), and rests on the
+    inertia checks or counts of the parts.
     """
     m_diag = _mass_matrix(mass, a.shape[0])[1]
     values, tops, lifts = zip(*parts)
@@ -351,8 +379,11 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     edge = complete if np.isinf(bound) else np.append(complete, bound)
     shift = _gap_shift(edge, k)[0]
     if shift >= bound:
-        lower = complete[-1] if complete.size else bound - max(abs(bound), 1.0)
-        shift = (float(lower) + bound) / 2.0
+        # the middle of the last clear gap, the one below edge[0] if none
+        scale = max(abs(bound), float(edge[-1] - edge[0]), 1.0)
+        lows = np.insert(edge, 0, edge[0] - scale)
+        last = np.flatnonzero(np.diff(lows) > 1e-8 * scale)[-1]
+        shift = float(lows[last] + lows[last + 1]) / 2.0
     meta = {"tol": tol, "complete_below": bound, "inertia_source": "merged",
             "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)

@@ -26,8 +26,11 @@ into one 2n-dimensional twisted (Landau) operator per t-frequency, the
 discrete form of the reduction of the sublaplacian by a Fourier
 transform in t (Folland, *Harmonic Analysis in Phase Space*, 1989;
 Thangavelu, *Harmonic Analysis on the Heisenberg Group*, 1998).
-``kohn_spectrum`` certifies the t-basis and solves one real mode
-operator per positive frequency.
+``kohn_spectrum`` certifies the t-basis, counts the real mode operator
+of each positive frequency below a running bound with one inertia
+factorization (spectrum slicing: Grimes, Lewis and Simon, SIAM J.
+Matrix Anal. Appl. 15, 1994), and solves only the modes with values
+there.
 The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
@@ -40,7 +43,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import CertificationError, merged_eigenpairs, smallest_eigenpairs
+from .eigensolve import (CertificationError, inertia_count, merged_eigenpairs,
+                         smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
 
@@ -286,6 +290,23 @@ def _mode_lifts(grid, vecs, v):
     return lift(np.real), lift(np.imag)
 
 
+def _count_shift(values, bound, k):
+    """Shift B at which the later modes are counted, and a quarter of its
+    gap as the step for moving it up: the middle of the first clear gap
+    (wider than 1e-8 of the scale) at or past the k-th lowest of the
+    ``values`` below ``bound``, followed by ``bound`` itself; ``bound``
+    when no such gap lies below it.  So B is at or above the k-th lowest
+    value whenever that is at or below ``bound``."""
+    edge = np.append(np.sort(values[values < bound]), bound)
+    scale = max(abs(bound), float(edge[-1] - edge[0]), 1.0)
+    gaps = np.diff(edge[k - 1:])
+    clear = np.flatnonzero(gaps > 1e-8 * scale)
+    if clear.size == 0:
+        return bound, 1e-7 * scale
+    i = k - 1 + clear[0]
+    return float(edge[i] + edge[i + 1]) / 2.0, float(gaps[clear[0]]) / 4.0
+
+
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
@@ -294,38 +315,72 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     eigenvalues +-i mu_j.  In that basis L is the direct sum of the mode
     operators L_mu (see ``_mode_operators``); L_-mu is the conjugate of
     L_mu, with the same spectrum, and as m is even no mu_j is 0, so only
-    the m/2 modes with mu_j > 0 are solved.  The basis is certified to
+    the m/2 modes with mu_j > 0 are visited.  The basis is certified to
     rounding at run time (``CertificationError`` otherwise), with the
     Weyl slack of ``_certify_t_modes``.
 
-    Each mode is solved in its real symmetric form of size m^(2n) for
-    ceil(k/2) pairs, with its own inertia check.  A pair (a, b) gives
-    two orthonormal real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of
-    its lift (``_mode_lifts``): these are the two subspaces each mode
-    passes to ``merged_eigenpairs``, which takes the k lowest pairs,
-    bounded by the smallest mode top, and re-certifies them on L.  The
-    mode with the smallest top has ceil(k/2) values at or below it, each
-    doubled, so the merge is always complete.
+    Each mode is handled in its real symmetric form of size m^(2n), in
+    ascending mu.  A pair (a, b) of a mode solve gives two orthonormal
+    real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of its lift
+    (``_mode_lifts``): these are the two subspaces each mode passes to
+    ``merged_eigenpairs``, with the mode's top, at or below every value
+    the mode did not return.  The first mode is solved for ceil(k/2)
+    pairs, with its top at its last value.  Every later mode is first
+    counted below a running shift B by one inertia factorization
+    (``inertia_count``): with no value there it is not solved and passes
+    an empty part with top B; with nu values it is solved, with its own
+    inertia check, for min(nu, ceil(k/2)) pairs, and its top is B when
+    that is all of them, its last value otherwise.  After the first
+    mode, and after each later solve, B is placed by ``_count_shift``
+    in the first clear gap past the k-th lowest value below the
+    smallest top, or at that top when there is none.  The invariant is
+    that the k-th lowest computed value is at or below every top: B is
+    at or above it, a mode with more than ceil(k/2) values below B
+    brings k values (each doubled) at or below its own top, and more
+    values only lower the k-th.  So the merge, which takes the k lowest
+    pairs bounded by the smallest top and re-certifies them on L, is
+    always complete; if it is not, ``CertificationError`` names the
+    shortfall.
 
-    ``meta`` holds ``method: "t-modes"``, ``modes`` (each mode solve's
-    own ``meta`` with its ``mu`` and ``dim``), ``weyl_slack`` (how far
-    the eigenvalues of L may be from those of the solved modes, a few
-    eps ||L||), ``complete_below`` (the smallest mode top), and
-    ``inertia_shift`` and ``inertia_count``: the count of L below that
-    shift, read off the merged mode values below it.
+    ``meta`` holds ``method: "t-modes"``, ``modes`` (for each mode in
+    the order visited its ``mu``, ``dim`` and ``pairs``, the number of
+    pairs solved, with the solve's own ``meta``, or for a mode that was
+    not solved the count 0 below ``inertia_shift`` with its
+    ``inertia_nnz``), ``weyl_slack`` (how far the eigenvalues of L may
+    be from those of the modes, a few eps ||L||), ``complete_below``
+    (the smallest mode top), and ``inertia_shift`` and
+    ``inertia_count``: the count of L below that shift, read off the
+    merged mode values below it.
     """
     lap = build_kohn_laplacian(grid)
     mu, vecs = _t_modes(grid.g - 2, grid.spacings[-1])
     pieces = _mode_pieces(grid)
     slack = _certify_t_modes(grid, mu, vecs, pieces)
-    parts, modes = [], []
-    for mu_j, v, op in zip(mu, vecs.T, _mode_operators(grid, mu, pieces)):
-        res = smallest_eigenpairs(op, None, k=(k + 1) // 2, tol=tol, seed=seed,
-                                  definite=True)
-        top = float(res.eigenvalues[-1])
-        parts += [(res.eigenvalues, top, lift)
-                  for lift in _mode_lifts(grid, res.eigenvectors, v)]
-        modes.append({**res.meta, "mu": float(mu_j), "dim": op.shape[0]})
+    half = (k + 1) // 2
+    parts, modes, shift = [], [], None
+    for mu_j, v, op in list(zip(mu, vecs.T, _mode_operators(grid, mu, pieces)))[::-1]:
+        pairs, top, meta = half, None, {}
+        if shift is not None:
+            count, at, nnz = inertia_count(op, None, shift, step)
+            pairs, top = min(count, half), at if count <= half else None
+            meta = {"inertia_checked": True, "inertia_count": count,
+                    "inertia_shift": at, "inertia_nnz": nnz}
+        if pairs:
+            res = smallest_eigenpairs(op, None, k=pairs, tol=tol, seed=seed, definite=True)
+            values, mode_vecs, meta = res.eigenvalues, res.eigenvectors, res.meta
+            top = float(values[-1]) if top is None else top
+        else:
+            values, mode_vecs = np.empty(0), np.empty((op.shape[0], 0))
+        parts += [(values, top, lift) for lift in _mode_lifts(grid, mode_vecs, v)]
+        modes.append({**meta, "mu": float(mu_j), "dim": op.shape[0], "pairs": pairs})
+        if pairs:
+            union = np.concatenate([part[0] for part in parts])
+            shift, step = _count_shift(union, min(part[1] for part in parts), k)
     result = merged_eigenpairs(lap, None, parts, k, tol)
+    if result is None:
+        bound = min(part[1] for part in parts)
+        found = sum(int((part[0] <= bound).sum()) for part in parts)
+        raise CertificationError(f"mode solves give {found} of {k} values at or below "
+                                 f"their smallest top {bound!r}: the merge is incomplete")
     result.meta.update(method="t-modes", seed=seed, modes=modes, weyl_slack=slack)
     return result

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,8 @@ from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
                                  _certify_orthonormal, _certify_residuals,
                                  _factor_symmetric, _solve_dense,
-                                 _verify_inertia, merged_eigenpairs,
-                                 smallest_eigenpairs, solve_pair)
+                                 _verify_inertia, inertia_count,
+                                 merged_eigenpairs, smallest_eigenpairs, solve_pair)
 from artifact.mesh import icosphere
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,8 +176,8 @@ def test_factor_stores_no_padding():
     assert res.meta["inertia_nnz"] == lu.nnz
 
 
-def _splu_calls(node):
-    return sum(isinstance(n, ast.Call) and "splu" in
+def _calls(node, name):
+    return sum(isinstance(n, ast.Call) and name in
                {getattr(n.func, "attr", None), getattr(n.func, "id", None)}
                for n in ast.walk(node))
 
@@ -186,8 +187,8 @@ def test_splu_called_only_by_factor_symmetric():
     total = inside = 0
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        total += _splu_calls(tree)
-        inside += sum(_splu_calls(f) for f in ast.walk(tree)
+        total += _calls(tree, "splu")
+        inside += sum(_calls(f, "splu") for f in ast.walk(tree)
                       if isinstance(f, ast.FunctionDef) and f.name == "_factor_symmetric"
                       and path.name == "eigensolve.py")
         assert all(alias.name != "splu" for n in ast.walk(tree)
@@ -255,17 +256,109 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
 
 def test_inertia_detects_missed_duplicate():
     a = sp.diags([1.0, 1.0, 2.0, 5.0]).tocsr()
-    m = sp.identity(4, format="csr")
     with pytest.raises(CertificationError, match="missed"):
-        _verify_inertia(a, m, np.array([1.0, 2.0, 5.0]), k=2)
+        _verify_inertia(a, None, np.array([1.0, 2.0, 5.0]), k=2)
 
 
 def test_inertia_accepts_complete_spectrum():
     a = sp.diags([1.0, 1.0, 2.0, 5.0]).tocsr()
-    m = sp.identity(4, format="csr")
-    meta = _verify_inertia(a, m, np.array([1.0, 1.0, 2.0, 5.0]), k=2)
+    meta = _verify_inertia(a, None, np.array([1.0, 1.0, 2.0, 5.0]), k=2)
     assert meta["inertia_checked"]
     assert meta["inertia_count"] == 3
+
+
+def test_inertia_count_matches_dense_counts():
+    # indefinite random pencils, the shift in the middle of a gap
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 30))
+        b = rng.standard_normal((dim, dim))
+        a = sp.csr_matrix(b + b.T)
+        mass = rng.uniform(0.5, 2.0, dim)
+        vals = eigh(a.toarray(), np.diag(mass), eigvals_only=True)
+        j = int(rng.integers(0, dim - 1))
+        shift = float(vals[j] + vals[j + 1]) / 2.0
+        for m in (mass, None):
+            expected = j + 1 if m is not None else int(
+                (np.linalg.eigvalsh(b + b.T) < shift).sum())
+            count, at, nnz = inertia_count(a, m, shift, 1.0)
+            assert (count, at) == (expected, shift) and nnz >= dim
+
+
+def test_inertia_count_moves_the_shift_up_on_a_breakdown(monkeypatch):
+    # diag(1, 2, 3) - 2 I has an exactly zero pivot; the next attempt is
+    # a quarter step up, never down
+    shifts = []
+    factor = eigensolve._factor_symmetric
+
+    def recording(k_csc):
+        shifts.append(1.0 - k_csc.diagonal()[0])
+        return factor(k_csc)
+
+    monkeypatch.setattr(eigensolve, "_factor_symmetric", recording)
+    a = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    assert inertia_count(a, None, 2.0, 1.0)[:2] == (2, 2.25)
+    assert shifts == [2.0, 2.25]
+    with pytest.raises(ValueError, match="step"):
+        inertia_count(a, None, 2.0, -1.0)
+
+
+def test_inertia_count_raises_after_its_last_attempt(monkeypatch):
+    # [[0, 1], [1, 0]] has no no-pivot factorization: SuperLU exchanges
+    # the rows, so the permutations differ at every attempt
+    calls = []
+    factor = eigensolve._factor_symmetric
+
+    def counting(k_csc):
+        calls.append(k_csc)
+        return factor(k_csc)
+
+    monkeypatch.setattr(eigensolve, "_factor_symmetric", counting)
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(CertificationError, match="kept pivoting"):
+        inertia_count(swap, None, 0.0, 0.0)
+    assert len(calls) == 4
+
+
+def test_factorizations_come_from_the_solve_and_the_inertia_count():
+    # one inertia code path: besides the shift factorization of the
+    # Lanczos solve, only inertia_count factors, for _verify_inertia and
+    # for callers that slice a spectrum
+    tree = ast.parse((SRC / "artifact" / "eigensolve.py").read_text())
+    callers = sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                     and f.name != "_factor_symmetric" and _calls(f, "_factor_symmetric"))
+    assert callers == ["_solve_arpack", "inertia_count"]
+    assert "inertia_count" in eigensolve.__all__
+    for path in sorted((SRC / "artifact").glob("*.py")):
+        if path.name != "eigensolve.py":
+            assert "_factor_symmetric" not in path.read_text(), path.name
+
+
+def test_merged_shift_keeps_clear_of_values_one_ulp_apart():
+    # the 4th value is the bound; one ulp below it sits another part's
+    # value.  The shift must not fall between the two: it goes to the
+    # middle of the last clear gap below the bound, and the count read
+    # off the merged values is the Sylvester count of the pencil there
+    bound = 3.0
+    below = np.nextafter(bound, 0.0)
+    diag = np.array([1.0, bound, 4.0, 2.0, below, 5.0])
+    a = sp.diags(diag).tocsr()
+
+    def part(nodes, values):
+        def lift(idx):
+            out = np.zeros((len(diag), len(idx)))
+            out[np.asarray(nodes)[idx], np.arange(len(idx))] = 1.0
+            return out
+        return np.array(values), bound, lift
+
+    parts = [part([0, 1], [1.0, bound]), part([3, 4], [2.0, below])]
+    merged = merged_eigenpairs(a, None, parts, 4, tol=1e-8)
+    assert merged.eigenvalues.tolist() == [1.0, 2.0, below, bound]
+    shift = merged.meta["inertia_shift"]
+    assert np.abs(diag - shift).min() > 1e-8 * bound
+    assert shift == 2.5 and merged.meta["inertia_count"] == int((diag < shift).sum()) == 2
+    count, at, _ = inertia_count(a, None, shift, 0.0)
+    assert (count, at) == (2, shift)
 
 
 def test_psd_check_raises_on_indefinite():

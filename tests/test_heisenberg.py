@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kohn_modes import every_mode_spectrum
 from kohn_sectors import parity_blocks, sector_spectrum
 
 from artifact import heisenberg
@@ -304,46 +305,87 @@ def test_point_reflection_is_not_a_symmetry():
 
 @pytest.mark.parametrize("g", [16, 24, 32])
 def test_t_modes_match_sector_oracle(monkeypatch, g):
-    solved = []
-    solve = heisenberg.smallest_eigenpairs
+    solved, counted = [], []
+    solve, count = heisenberg.smallest_eigenpairs, heisenberg.inertia_count
 
     def recording(a, mass, **kwargs):
         res = solve(a, mass, **kwargs)
         solved.append((a, mass, kwargs["k"]))
         return res
 
+    def recording_count(a, mass, shift, step):
+        out = count(a, mass, shift, step)
+        counted.append((a, mass, out))
+        return out
+
     monkeypatch.setattr(heisenberg, "smallest_eigenpairs", recording)
+    monkeypatch.setattr(heisenberg, "inertia_count", recording_count)
     grid = heisenberg_grid(1, 1.0, 1.0, g)
     res = kohn_spectrum(grid, k=12)
     oracle = sector_spectrum(grid, k=12)
     assert np.abs(res.eigenvalues / oracle.eigenvalues - 1.0).max() < 1e-12
     assert res.residuals.max() < 1e-12 and res.zero_count == oracle.zero_count == 0
     meta = res.meta
+    modes = meta["modes"]
     m = g - 2
-    assert meta["method"] == "t-modes" and len(meta["modes"]) == len(solved) == m // 2
-    mu = [mode["mu"] for mode in meta["modes"]]
-    assert all(a > b > 0.0 for a, b in zip(mu, mu[1:]))
-    # one real symmetric m^2 operator per positive mode, ceil(k/2) pairs each
-    for (a, mass, k_s), mode in zip(solved, meta["modes"]):
-        assert a.shape[0] == mode["dim"] == m * m and mass is None and k_s == 6
+    assert meta["method"] == "t-modes" and len(modes) == m // 2
+    mu = [mode["mu"] for mode in modes]
+    assert all(0.0 < a < b for a, b in zip(mu, mu[1:]))  # visited in ascending mu
+    # a solve for every mode that records pairs, at most ceil(k/2) each,
+    # exactly that for the first; every mode records a count
+    solved_modes = [mode for mode in modes if mode["pairs"] > 0]
+    assert len(solved) == len(solved_modes) and solved[0][2] == modes[0]["pairs"] == 6
+    assert all("inertia_count" in mode and mode["dim"] == m * m for mode in modes)
+    # one real symmetric m^2 operator per solved mode
+    for (a, mass, k_s), mode in zip(solved, solved_modes):
+        assert a.shape[0] == mode["dim"] and mass is None and k_s == mode["pairs"] <= 6
         assert (a != a.T).nnz == 0 and mode["inertia_checked"]
         # sigma = 0 and lambda' shift the same pattern: equal stored entries
         assert mode["factor_nnz"] == mode["inertia_nnz"] == _factor_symmetric(
             sp.csc_matrix(a)).nnz
+    # every later mode is counted once; one with no value below the count
+    # shift, which lies past the k-th eigenvalue, is not solved
+    assert len(counted) == len(modes) - 1
+    for (a, mass, (nu, shift, nnz)), mode in zip(counted, modes[1:]):
+        assert mass is None and a.shape[0] == mode["dim"]
+        assert nu == int((np.linalg.eigvalsh(a.toarray()) < shift).sum())
+        assert mode["pairs"] == min(nu, 6) and shift > res.eigenvalues[-1]
+        if nu == 0:
+            assert mode["inertia_checked"] and mode["inertia_count"] == 0
+            assert mode["inertia_shift"] == shift and mode["inertia_nnz"] == nnz
+    if g == 32:
+        assert len(solved) <= 5
     assert res.eigenvalues[-1] <= meta["complete_below"]
     assert meta["inertia_shift"] < meta["complete_below"]
     assert 0.0 < meta["weyl_slack"] < 1e-10
     assert res.eigenvectors.shape == (m ** 3, 12)
-    if g != 24:
-        return
     lap = build_kohn_laplacian(grid)
-    full = smallest_eigenpairs(lap, None, k=12, definite=True)
-    assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
     # Sylvester count of the full operator below the merged inertia shift
     lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"]
+    del lu
+    if g == 24:
+        full = smallest_eigenpairs(lap, None, k=12, definite=True)
+        assert np.abs(res.eigenvalues / full.eigenvalues - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("g", [16, 24, 32])
+def test_slicing_matches_every_mode_oracle(g):
+    # the modes that were not solved hid none of the k lowest values
+    grid = heisenberg_grid(1, 1.0, 1.0, g)
+    for k in (2, 4, 8, 12, 20):
+        res = kohn_spectrum(grid, k=k)
+        oracle = every_mode_spectrum(grid, k=k)
+        assert np.abs(res.eigenvalues / oracle.eigenvalues - 1.0).max() <= 1e-12, k
+        assert res.zero_count == oracle.zero_count == 0
+
+
+def test_incomplete_merge_is_refused(monkeypatch):
+    monkeypatch.setattr(heisenberg, "merged_eigenpairs", lambda *args: None)
+    with pytest.raises(CertificationError, match="incomplete"):
+        kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 16), k=4)
 
 
 def test_mode_operators_match_hermitian_modes():
@@ -440,9 +482,10 @@ def test_odd_t_axis_has_a_zero_frequency():
 
 
 def test_inertia_shift_below_a_bound_on_the_spectrum():
-    # at k = 2 every solve gives one value, so the 2nd merged value is
-    # the bound itself; the shift must sit strictly below it, where the
-    # Sylvester count of L is defined and equals the recorded count
+    # at k = 2 every solve gives one value; the first mode's lies above
+    # the second's, which is the doubled lowest value.  The shift must
+    # sit strictly below the bound, where the Sylvester count of L is
+    # defined and equals the recorded count: the two lowest values
     grid = heisenberg_grid(1, 1.0, 1.0, 16)
     meta = kohn_spectrum(grid, k=2).meta
     assert meta["inertia_shift"] < meta["complete_below"]
@@ -450,7 +493,7 @@ def test_inertia_shift_below_a_bound_on_the_spectrum():
     lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"] == 0
+    assert int((lu.U.diagonal() < 0).sum()) == meta["inertia_count"] == 2
 
 
 def test_mode_operators_at_n2():

@@ -49,5 +49,8 @@ def test_kohn_spectrum_calls_the_traced_names(monkeypatch):
     for name in calls:
         monkeypatch.setattr(heisenberg, name, counting(name))
     grid = heisenberg.heisenberg_grid(1, 1.0, 1.0, 16)
-    heisenberg.kohn_spectrum(grid, k=4)
-    assert calls == {"build_kohn_laplacian": 1, "smallest_eigenpairs": (grid.g - 2) // 2}
+    modes = heisenberg.kohn_spectrum(grid, k=4).meta["modes"]
+    # one solve for each mode that records pairs; the first always does
+    solved = sum(mode["pairs"] > 0 for mode in modes)
+    assert len(modes) == (grid.g - 2) // 2 and modes[0]["pairs"] > 0
+    assert calls == {"build_kohn_laplacian": 1, "smallest_eigenpairs": solved}
