@@ -43,7 +43,10 @@ A record passes when lhs <= rhs + (tol_audit + allowance) * scale with
 scale = max(|lhs|, |rhs|, top audited eigenvalue); the additive form
 keeps audits meaningful when the right side is exactly zero (kernel
 rows).  ``allowance`` absorbs discretization error and should be set
-from a two-refinement Richardson comparison.
+from a two-refinement Richardson comparison.  One builder,
+``_recorder``, holds this rule; each catalog binds it once (once per
+degree in the closed catalog), so a record states only j, lhs, rhs and
+its own terms.
 """
 
 from __future__ import annotations
@@ -211,22 +214,35 @@ def _finite(x, what):
     return float(x)
 
 
-def _record(ineq, p, j, lhs, rhs, terms, tol_audit, allowance, scale):
-    lhs = _finite(lhs, f"{ineq} lhs")
-    rhs = _finite(rhs, f"{ineq} rhs")
-    margin = (tol_audit + allowance) * max(abs(lhs), abs(rhs), scale)
-    return {
-        "ineq": ineq,
-        "p": p,
-        "j": j,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": rhs - lhs,
-        "pass": bool(lhs <= rhs + margin),
-        "terms": {**{k: _finite(v, f"{ineq} term {k}") if isinstance(v, float) else v
-                     for k, v in terms.items()},
-                  "tol_audit": tol_audit, "allowance": allowance, "margin": margin},
-    }
+def _recorder(records, p, common, tol_audit, allowance, scale):
+    """The one pass rule: returns ``add(ineq, j, lhs, rhs, **terms)``,
+    which appends a record of degree ``p`` to ``records`` with
+    ``common`` and ``terms`` as its terms.  The record passes when
+    lhs <= rhs + margin, margin = (tol_audit + allowance)
+    * max(|lhs|, |rhs|, scale); non-finite values raise ``AuditError``."""
+    def add(ineq, j, lhs, rhs, **terms):
+        lhs = _finite(lhs, f"{ineq} lhs")
+        rhs = _finite(rhs, f"{ineq} rhs")
+        margin = (tol_audit + allowance) * max(abs(lhs), abs(rhs), scale)
+        records.append({
+            "ineq": ineq,
+            "p": p,
+            "j": j,
+            "lhs": lhs,
+            "rhs": rhs,
+            "slack": rhs - lhs,
+            "pass": bool(lhs <= rhs + margin),
+            "terms": {**{k: _finite(v, f"{ineq} term {k}") if isinstance(v, float) else v
+                         for k, v in {**common, **terms}.items()},
+                      "tol_audit": tol_audit, "allowance": allowance, "margin": margin},
+        })
+    return add
+
+
+def _check_j_max(j_max):
+    """Refuse an audit of no index; the CLI calls this before solving."""
+    if j_max < 1:
+        raise ValueError(f"j_max must be positive, got {j_max}")
 
 
 def _sort_records(records):
@@ -338,8 +354,7 @@ def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):
     """
     if not mesh.is_closed:
         raise AuditError("closed-surface audit needs a closed mesh")
-    if j_max < 1:
-        raise ValueError(f"j_max must be positive, got {j_max}")
+    _check_j_max(j_max)
     k = j_max + M_DIM
     for p in (0, 1, 2):
         if len(spectra[p].eigenvalues) < k:
@@ -360,9 +375,10 @@ def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):
     for p in (0, 1, 2):
         vals = spectra[p].eigenvalues
         vecs = spectra[p].eigenvectors
-        scale = float(vals[k - 1])
         phi = phi_field(curv, p)
-        common = {"vol": vol, "zero_count": spectra[p].zero_count}
+        add = _recorder(records, p, {"vol": vol, "zero_count": spectra[p].zero_count},
+                        tol_audit, allowance, float(vals[k - 1]))
+        geometric = {"geometric_term": j_geom[p], "sup_phi": phi.sup}
 
         for j in range(1, j_max + 1):
             lam_j = float(vals[j - 1])
@@ -374,63 +390,33 @@ def audit_closed(mesh, spectra, j_max=20, tol_audit=AUDIT_TOL, allowance=0.0):
             if p in (0, 1):
                 int_curv_rho = integrate_against(mesh, rho, curv.K) if p == 1 else 0.0
                 delta1 = curv.inf_K if p == 1 else 0.0
-                records.append(_record(
-                    "gap-curvature-integral", p, j, gap_lhs,
+                add("gap-curvature-integral", j, gap_lhs,
                     4.0 * (bump * lam_j - int_curv_rho + 0.25 * int_h2_rho),
-                    {**common, "lambda_j": lam_j, "curvature_term": int_curv_rho,
-                     "h2_term": int_h2_rho, "density_factor": rho.factor},
-                    tol_audit, allowance, scale))
-                records.append(_record(
-                    "gap-curvature-sup", p, j, gap_lhs,
+                    lambda_j=lam_j, curvature_term=int_curv_rho, h2_term=int_h2_rho,
+                    density_factor=rho.factor)
+                add("gap-curvature-sup", j, gap_lhs,
                     4.0 * (bump * lam_j - delta1 + 0.25 * curv.sup_H2),
-                    {**common, "lambda_j": lam_j, "inf_curvature": delta1,
-                     "sup_h2": curv.sup_H2},
-                    tol_audit, allowance, scale))
+                    lambda_j=lam_j, inf_curvature=delta1, sup_h2=curv.sup_H2)
 
-            records.append(_record(
-                "gap-phi-integral", p, j, gap_lhs,
-                4.0 * (bump * lam_j + int_phi_rho),
-                {**common, "lambda_j": lam_j, "phi_term": int_phi_rho,
-                 "density_factor": rho.factor},
-                tol_audit, allowance, scale))
-            records.append(_record(
-                "gap-phi-sup", p, j, gap_lhs,
-                4.0 * (bump * lam_j + phi.sup),
-                {**common, "lambda_j": lam_j, "sup_phi": phi.sup},
-                tol_audit, allowance, scale))
+            add("gap-phi-integral", j, gap_lhs, 4.0 * (bump * lam_j + int_phi_rho),
+                lambda_j=lam_j, phi_term=int_phi_rho, density_factor=rho.factor)
+            add("gap-phi-sup", j, gap_lhs, 4.0 * (bump * lam_j + phi.sup),
+                lambda_j=lam_j, sup_phi=phi.sup)
 
             ratio = growth ** (j - 1)
-            records.append(_record(
-                "recursion-basic", p, j, lam_j,
-                ratio * j_geom[p] + (ratio - 1.0) * phi.sup,
-                {**common, "geometric_term": j_geom[p], "sup_phi": phi.sup},
-                tol_audit, allowance, scale))
-            records.append(_record(
-                "recursion-sharp", p, j, float(vals[j + 1]),
+            add("recursion-basic", j, lam_j, ratio * j_geom[p] + (ratio - 1.0) * phi.sup,
+                **geometric)
+            add("recursion-sharp", j, float(vals[j + 1]),
                 4.0 * (bump * ratio * j_geom[p] + (bump * ratio - M_DIM / 4.0) * phi.sup),
-                {**common, "geometric_term": j_geom[p], "sup_phi": phi.sup},
-                tol_audit, allowance, scale))
+                **geometric)
 
-        records.append(_record(
-            "gap-phi-first", p, 1, float(vals[1] + vals[2]),
-            4.0 * (bump * j_geom[p] + phi.sup),
-            {**common, "geometric_term": j_geom[p], "sup_phi": phi.sup},
-            tol_audit, allowance, scale))
-
+        add("gap-phi-first", 1, float(vals[1] + vals[2]), 4.0 * (bump * j_geom[p] + phi.sup),
+            **geometric)
         if p == 1:
-            records.append(_record(
-                "asada", 1, 1, float(vals[0]), j_geom[1],
-                {**common, "geometric_term": j_geom[1]},
-                tol_audit, allowance, scale))
+            add("asada", 1, float(vals[0]), j_geom[1], geometric_term=j_geom[1])
         if p == 0:
-            records.append(_record(
-                "reilly", 0, 2, float(vals[1]), int_h2 / (M_DIM * vol),
-                {**common, "int_h2": int_h2},
-                tol_audit, allowance, scale))
-            records.append(_record(
-                "reilly-sum", 0, 1, float(vals[1] + vals[2]), int_h2 / vol,
-                {**common, "int_h2": int_h2},
-                tol_audit, allowance, scale))
+            add("reilly", 2, float(vals[1]), int_h2 / (M_DIM * vol), int_h2=int_h2)
+            add("reilly-sum", 1, float(vals[1] + vals[2]), int_h2 / vol, int_h2=int_h2)
 
     return _sort_records(records)
 
@@ -449,8 +435,7 @@ def audit_dirichlet(mesh, pair, spectrum, ambient="flat", j_max=15,
     """
     if ambient not in ("flat", "sphere"):
         raise ValueError(f'ambient must be "flat" or "sphere", got {ambient!r}')
-    if j_max < 1:
-        raise ValueError(f"j_max must be positive, got {j_max}")
+    _check_j_max(j_max)
     if not pair.dirichlet:
         raise AuditError("Dirichlet audit needs a Dirichlet pencil")
     k = j_max + M_DIM
@@ -467,9 +452,9 @@ def audit_dirichlet(mesh, pair, spectrum, ambient="flat", j_max=15,
 
     vals = spectrum.eigenvalues
     vecs = spectrum.eigenvectors
-    scale = float(vals[k - 1])
     records = []
-    common = {"zero_count": spectrum.zero_count}
+    add = _recorder(records, 0, {"zero_count": spectrum.zero_count}, tol_audit, allowance,
+                    float(vals[k - 1]))
     for j in range(1, j_max + 1):
         lam_j = float(vals[j - 1])
         gap_lhs = float(vals[j] + vals[j + 1])
@@ -478,50 +463,29 @@ def audit_dirichlet(mesh, pair, spectrum, ambient="flat", j_max=15,
         rho = _unit_density(0, raw, factor)
         int_term = float(weights @ (rho * (0.25 * h2_int - q_int)))
 
-        records.append(_record(
-            "dirichlet-potential-integral", 0, j, gap_lhs,
+        add("dirichlet-potential-integral", j, gap_lhs,
             4.0 * ((1.0 + M_DIM / 4.0) * lam_j + int_term),
-            {**common, "lambda_j": lam_j, "potential_term": int_term,
-             "density_factor": factor},
-            tol_audit, allowance, scale))
-        records.append(_record(
-            "dirichlet-potential-sup", 0, j, gap_lhs,
-            (4.0 + M_DIM) * lam_j + sup_field,
-            {**common, "lambda_j": lam_j, "sup_field": sup_field},
-            tol_audit, allowance, scale))
+            lambda_j=lam_j, potential_term=int_term, density_factor=factor)
+        add("dirichlet-potential-sup", j, gap_lhs, (4.0 + M_DIM) * lam_j + sup_field,
+            lambda_j=lam_j, sup_field=sup_field)
         if ambient == "sphere":
             intrinsic = np.maximum(h2_int - 4.0, 0.0)
             rss_sup = float(np.abs(intrinsic + 4.0 - 4.0 * q_int).max())
-            records.append(_record(
-                "dirichlet-symmetric-space", 0, j, gap_lhs,
-                (4.0 + M_DIM) * lam_j + rss_sup,
-                {**common, "lambda_j": lam_j, "sup_field": rss_sup,
-                 "curvature_shift": 4.0},
-                tol_audit, allowance, scale))
+            add("dirichlet-symmetric-space", j, gap_lhs, (4.0 + M_DIM) * lam_j + rss_sup,
+                lambda_j=lam_j, sup_field=rss_sup, curvature_shift=4.0)
         if ambient == "flat" and zero_potential:
-            records.append(_record(
-                "levitin-parnovski", 0, j, gap_lhs, (4.0 + M_DIM) * lam_j,
-                {**common, "lambda_j": lam_j},
-                tol_audit, allowance, scale))
+            add("levitin-parnovski", j, gap_lhs, (4.0 + M_DIM) * lam_j, lambda_j=lam_j)
 
     if zero_potential:
-        records.append(_record(
-            "payne-polya-weinberger", 0, 1, float(vals[1]),
-            (1.0 + 4.0 / M_DIM) * float(vals[0]),
-            {**common, "lambda_1": float(vals[0])},
-            tol_audit, allowance, scale))
+        add("payne-polya-weinberger", 1, float(vals[1]),
+            (1.0 + 4.0 / M_DIM) * float(vals[0]), lambda_1=float(vals[0]))
         for j in range(1, j_max + 1):
-            records.append(_record(
-                "hile-protter", 0, j, float(vals[j]),
+            add("hile-protter", j, float(vals[j]),
                 (1.0 + 4.0 / M_DIM) * float(np.mean(vals[:j])),
-                {**common, "mean_below": float(np.mean(vals[:j]))},
-                tol_audit, allowance, scale))
+                mean_below=float(np.mean(vals[:j])))
             gaps = float(vals[j]) - vals[:j]
-            records.append(_record(
-                "yang", 0, j, float(np.sum(gaps ** 2)),
-                4.0 / M_DIM * float(np.sum(gaps * vals[:j])),
-                {**common, "lambda_next": float(vals[j])},
-                tol_audit, allowance, scale))
+            add("yang", j, float(np.sum(gaps ** 2)),
+                4.0 / M_DIM * float(np.sum(gaps * vals[:j])), lambda_next=float(vals[j]))
 
     return _sort_records(records)
 
@@ -534,20 +498,17 @@ def audit_kohn(eigenvalues, n, j_max, tol_audit=AUDIT_TOL):
     one ``heisenberg-sum`` record per j, with allowance 0.
     """
     vals = np.asarray(eigenvalues, dtype=float)
-    if j_max < 1:
-        raise ValueError(f"j_max must be positive, got {j_max}")
+    _check_j_max(j_max)
     if len(vals) < j_max + n:
         raise ValueError(
             f"need at least j_max + n = {j_max + n} eigenvalues, got {len(vals)}")
     if (np.diff(vals) < -1e-12 * max(1.0, abs(vals[-1]))).any():
         raise ValueError("eigenvalues must be in ascending order")
-    scale = float(vals[j_max + n - 1])
     records = []
+    add = _recorder(records, None, {"n": n}, tol_audit, 0.0, float(vals[j_max + n - 1]))
     for j in range(1, j_max + 1):
         lam_j = float(vals[j - 1])
-        records.append(_record(
-            "heisenberg-sum", None, j, float(vals[j:j + n].sum()), (n + 2.0) * lam_j,
-            {"n": n, "lambda_j": lam_j}, tol_audit, 0.0, scale))
+        add("heisenberg-sum", j, float(vals[j:j + n].sum()), (n + 2.0) * lam_j, lambda_j=lam_j)
     return records
 
 

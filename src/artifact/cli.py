@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import (AUDIT_TOL, M_DIM, audit_closed, audit_dirichlet, audit_kohn,
-                    closed_spectra, discretization_allowance, emit_report)
+from .audit import (AUDIT_TOL, M_DIM, _check_j_max, audit_closed, audit_dirichlet,
+                    audit_kohn, closed_spectra, discretization_allowance, emit_report)
 from .commutator import ORTHOGONALITY_REL, run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
 from .eigensolve import solve_pair
@@ -150,9 +150,10 @@ def _cmd_mesh(args):
 def _cmd_spectrum(args):
     try:
         family, level = _parse_fixture(args.mesh)
-        mesh, _ = _build_fixture(family, level)
     except ValueError:
         mesh = load_mesh(args.mesh)
+    else:
+        mesh, _ = _build_fixture(family, level)
     if args.dirichlet:
         if args.p != 0:
             raise ValueError("the Dirichlet pencil is a 0-form problem; drop -p")
@@ -167,12 +168,6 @@ def _cmd_spectrum(args):
     payload["dirichlet"] = bool(args.dirichlet)
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _check_j_max(j_max):
-    """Refuse an audit of no index before anything is solved for it."""
-    if j_max < 1:
-        raise ValueError(f"j_max must be positive, got {j_max}")
 
 
 def _cmd_audit(args):
@@ -228,6 +223,8 @@ def _cmd_heisenberg(args):
 
 
 def _cmd_lemma_check(args):
+    if args.degenerate_trials is None:
+        args.degenerate_trials = args.trials // 10
     if args.trials < 0 or args.degenerate_trials < 0:
         raise ValueError("trial counts must be non-negative")
     if args.trials == 0 and args.degenerate_trials == 0:
@@ -329,8 +326,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "degenerate_trials", None) is None and args.command == "lemma-check":
-        args.degenerate_trials = args.trials // 10
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

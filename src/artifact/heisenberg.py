@@ -37,8 +37,8 @@ in ``audit``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,27 +51,29 @@ __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_sp
 
 @dataclass(frozen=True)
 class HeisenbergGrid:
-    """Interior tensor grid for a Heisenberg box domain.
+    """Interior tensor grid for the box [-a, a]^(2n) x [-T, T] in H^n.
 
-    ``axes`` holds one strictly increasing coordinate array per axis in
-    the order x_1..x_n, y_1..y_n, t; spacing is uniform along each axis.
     ``g`` is the node count per axis including the two boundary nodes,
-    so each interior array has g - 2 entries.  ``g`` must be even: on an
+    so each interior axis has g - 2 nodes.  ``g`` must be even: on an
     odd grid the centered differences leave an exact checkerboard null
     mode, so the discrete operator is singular (in the t-modes of
     ``kohn_spectrum``: one frequency is 0, and its mode is the plain
     (x, y) Laplacian D_x^T D_x + D_y^T D_y, which has that kernel).
-    Each axis must be exactly antisymmetric (``ax[::-1] == -ax``
-    bitwise), so that reversing the x_i axes maps the grid and the
-    operator's real part onto themselves bitwise, and each x_i axis must
-    equal its y_i axis, as the box is [-a, a]^(2n) x [-T, T].
+    The half-widths ``a`` and ``T`` must be finite and positive.
+
+    ``axes`` holds one coordinate array per axis in the order
+    x_1..x_n, y_1..y_n, t.  Interior node i of an axis of half-width w
+    sits at h (i - (g - 3)/2) with h = 2w/(g - 1); the offsets are exact
+    half-integers, so each axis is uniform and exactly antisymmetric
+    (``ax[::-1] == -ax`` bitwise), which lets reversing the x_i axes map
+    the grid and the operator's real part onto themselves bitwise, and
+    each x_i axis equals its y_i axis.
     """
 
     n: int
     a: float
     T: float
     g: int
-    axes: tuple = field(repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -81,22 +83,16 @@ class HeisenbergGrid:
         if self.g % 2:
             raise ValueError(f"need an even node count per axis, got g={self.g}: odd grids "
                              "leave an exact checkerboard null mode (a spurious zero eigenvalue)")
-        if not (self.a > 0 and self.T > 0):
-            raise ValueError(f"box half-widths must be positive, got a={self.a}, T={self.T}")
-        if len(self.axes) != 2 * self.n + 1:
-            raise ValueError(f"expected {2 * self.n + 1} axes, got {len(self.axes)}")
-        for ax in self.axes:
-            steps = np.diff(ax)
-            if len(ax) != self.g - 2 or (steps <= 0).any():
-                raise ValueError("each axis must be a strictly increasing array of g - 2 nodes")
-            if np.abs(steps - steps[0]).max() > 1e-12 * abs(steps[0]):
-                raise ValueError("axis spacing must be uniform")
-            if not np.array_equal(ax[::-1], -ax):
-                raise ValueError("each axis must be exactly antisymmetric (ax[::-1] == -ax "
-                                 "bitwise): the real form of the t-modes reverses the x axes")
-        for i in range(self.n):
-            if not np.array_equal(self.axes[i], self.axes[self.n + i]):
-                raise ValueError(f"axes x_{i + 1} and y_{i + 1} must be equal")
+        if not (0 < self.a < np.inf and 0 < self.T < np.inf):
+            raise ValueError(f"box half-widths must be finite and positive, "
+                             f"got a={self.a}, T={self.T}")
+
+    @cached_property
+    def axes(self):
+        offsets = np.arange(self.g - 2) - (self.g - 3) / 2.0
+        spatial = (2.0 * self.a / (self.g - 1)) * offsets
+        time_ax = (2.0 * self.T / (self.g - 1)) * offsets
+        return tuple([spatial.copy() for _ in range(2 * self.n)] + [time_ax])
 
     @property
     def num_nodes(self):
@@ -109,17 +105,8 @@ class HeisenbergGrid:
 
 
 def heisenberg_grid(n, a, T, g):
-    """Grid for the box [-a, a]^(2n) x [-T, T] with g nodes per axis.
-
-    Interior node i of an axis of half-width w sits at h (i - (g - 3)/2)
-    with h = 2w/(g - 1); the offsets are exact half-integers, so the
-    axis is exactly antisymmetric.
-    """
-    offsets = np.arange(g - 2) - (g - 3) / 2.0
-    spatial = (2.0 * a / (g - 1)) * offsets
-    time_ax = (2.0 * T / (g - 1)) * offsets
-    axes = tuple([spatial.copy() for _ in range(2 * n)] + [time_ax])
-    return HeisenbergGrid(n, float(a), float(T), int(g), axes)
+    """Grid for the box [-a, a]^(2n) x [-T, T] with g nodes per axis."""
+    return HeisenbergGrid(n, float(a), float(T), int(g))
 
 
 def _centered(grid, k):

@@ -1,10 +1,13 @@
+import ast
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from artifact import audit
 from artifact.audit import (AuditError, audit_closed, audit_dirichlet,
                             audit_kohn, closed_spectra,
                             discretization_allowance, emit_report,
@@ -298,6 +301,21 @@ def test_record_schema_shared_by_all_catalogs(sphere2, square16, sphere2_spectra
     for rec in closed + dirichlet + kohn:
         assert rec.keys() == keys
         assert {"tol_audit", "allowance", "margin"} <= rec["terms"].keys()
+
+
+def test_one_builder_holds_the_pass_rule():
+    # only _recorder computes a margin or builds a record with a "pass" key
+    def rule_nodes(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "margin" and isinstance(n.ctx, ast.Store)
+                or isinstance(n, ast.Dict) and any(isinstance(key, ast.Constant)
+                                                   and key.value == "pass" for key in n.keys)]
+
+    tree = ast.parse(Path(audit.__file__).read_text())
+    (builder,) = [f for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_recorder"]
+    assert len(rule_nodes(builder)) == 2
+    assert rule_nodes(tree) == rule_nodes(builder)
 
 
 def test_emit_report_json_deterministic(sphere2):

@@ -83,7 +83,7 @@ def test_spectrum_potential_csv(tmp_path):
                  "--q", str(oob)]) == 1
 
 
-def test_spectrum_usage_errors(tmp_path):
+def test_spectrum_usage_errors(tmp_path, capsys):
     # Dirichlet pencil is 0-form only; --q needs --dirichlet
     assert main(["spectrum", "--mesh", "square8", "--dirichlet", "-p", "1"]) == 1
     qfile = tmp_path / "q.txt"
@@ -92,6 +92,10 @@ def test_spectrum_usage_errors(tmp_path):
     # fixture families must match the requested pencil
     assert main(["spectrum", "--mesh", "icosphere2", "--dirichlet"]) == 1
     assert main(["spectrum", "--mesh", "nosuchmesh3", "-p", "0"]) == 1
+    capsys.readouterr()
+    # a known family at a bad level reports the fixture's own error
+    assert main(["spectrum", "--mesh", "clifford4", "-p", "0"]) == 1
+    assert "need >= 8" in capsys.readouterr().err
 
 
 def test_audit_closed_exit_and_determinism(tmp_path):
@@ -157,6 +161,8 @@ def test_heisenberg_command(tmp_path, capsys):
     # odd grids are refused up front, not reported as an audit failure
     assert main(["heisenberg", "--n", "1", "--grid", "19"]) == 1
     assert "even node count" in capsys.readouterr().err
+    assert main(["heisenberg", "--n", "1", "--box", "inf", "1", "--grid", "16"]) == 1
+    assert "finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,6 +210,14 @@ def test_lemma_check_refuses_empty_run(tmp_path, capsys):
                  "--dim-max", "6", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert [r["degenerate"] for r in payload["runs"]] == [False]
+
+
+def test_lemma_check_degenerate_default(tmp_path):
+    # without --degenerate-trials, a tenth of the plain trials are degenerate
+    out = tmp_path / "lemma.json"
+    assert main(["lemma-check", "--trials", "30", "--dim-max", "6", "--out", str(out)]) == 0
+    runs = {r["degenerate"]: r for r in json.loads(out.read_text())["runs"]}
+    assert runs[False]["trials"] == 30 and runs[True]["trials"] == 3
 
 
 def test_version_exits_zero(capsys):
