@@ -156,7 +156,9 @@ def reconstruct_density(mesh, p, vec, face_mass=None):
 
     p = 0: density u^2 on vertices, weighted by lumped vertex areas.
     p = 1: per-face average of |w|^2 under Whitney interpolation of the
-    edge coefficients.  p = 2: (coefficient / face area)^2 per face.
+    edge coefficients.  p = 2: y^2 per face, for the dual-graph
+    eigenvector y of ``hodge_laplacian``, which holds the pointwise
+    2-form value.
     The result is renormalized to unit total integral; the raw integral
     is returned as ``factor`` and must lie within DENSITY_FACTOR_RANGE.
     """
@@ -174,7 +176,7 @@ def reconstruct_density(mesh, p, vec, face_mass=None):
         factor = float(per_face.sum())
         values, weights, domain = per_face / fa, fa, "face"
     elif p == 2:
-        raw = (vec / fa) ** 2
+        raw = vec ** 2
         factor = float(fa @ raw)
         values, weights, domain = raw, fa, "face"
     else:
@@ -312,8 +314,9 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
 
     With diagonal stars and d1 d0 = 0 the p = 1 pencil is the exact part
     plus the coexact part, so each nonzero p = 0 pair (lam, u) gives
-    w = d0 u / sqrt(lam) and each nonzero p = 2 pair (lam, v) gives
-    w = star1^-1 d1^T star2 v / sqrt(lam), both star1-normalised, and
+    w = d0 u / sqrt(lam) and each nonzero p = 2 pair (lam, y) of the
+    dual-graph pencil gives w = star1^-1 d1^T y / sqrt(lam), both
+    star1-normalised, and
     b1 = 0 leaves no harmonic forms.  ``merged_eigenpairs`` takes the k
     lowest mapped pairs, bounded by the top p = 0 and p = 2 eigenvalues
     (a solve that returned its whole spectrum has no top), and
@@ -334,7 +337,7 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
         return (c.d0 @ spec0.eigenvectors[:, 1 + idx]) / np.sqrt(lam0[idx])
 
     def coexact(idx):
-        return (c.d1.T @ (c.star2.diag[:, None] * spec2.eigenvectors[:, 1 + idx])) \
+        return (c.d1.T @ spec2.eigenvectors[:, 1 + idx]) \
             / (c.star1.diag[:, None] * np.sqrt(lam2[idx]))
 
     tops = [np.inf if len(s.eigenvalues) == s.eigenvectors.shape[0]

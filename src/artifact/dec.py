@@ -173,11 +173,16 @@ class DecComplex:
 def hodge_laplacian(mesh, p):
     """Weak-form Hodge Laplacian pencil (A, M) on a closed mesh.
 
-    A x = lambda M x with M = star_p and
+    A x = lambda M x with
 
-        p = 0:  A = d0^T star_1 d0
-        p = 1:  A = d1^T star_2 d1 + star_1 d0 star_0^{-1} d0^T star_1
-        p = 2:  A = star_2 d1 star_1^{-1} d1^T star_2
+        p = 0:  A = d0^T star_1 d0,                                M = star_0
+        p = 1:  A = d1^T star_2 d1 + star_1 d0 star_0^{-1} d0^T star_1,  M = star_1
+        p = 2:  A = d1 star_1^{-1} d1^T,                           M = diag(face areas)
+
+    The p = 2 pencil is the dual-graph Laplacian: the weak form
+    (star_2 d1 star_1^{-1} d1^T star_2, star_2) congruent by star_2, with
+    the same eigenvalues and entries in eigenvalue units.  Its
+    eigenvector y = star_2 v holds the pointwise 2-form value per face.
     """
     if not mesh.is_closed:
         raise MeshError("hodge_laplacian needs a closed mesh; use dirichlet_laplacian")
@@ -196,9 +201,8 @@ def hodge_laplacian(mesh, p):
         mass = c.star1.diag
         n = mesh.num_edges
     else:
-        half = sp.diags(c.star2.diag) @ c.d1
-        a = half @ sp.diags(1.0 / c.star1.diag) @ half.T
-        mass = c.star2.diag
+        a = c.d1 @ sp.diags(1.0 / c.star1.diag) @ c.d1.T
+        mass = mesh.face_areas
         n = mesh.num_faces
     a = _symmetrized(a)
     assert_symmetric(a, what=f"hodge laplacian p={p}")

@@ -156,7 +156,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
             raise ValueError(f"k={k} exceeds problem dimension {dim}")
         vals, vecs, meta = _solve_dense(a, m_diag, k)
         vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-        residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
+        residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
     else:
         if k > dim - 2:
             raise ValueError(f"k={k} exceeds dim - 2 = {dim - 2} on the iterative path")
@@ -166,7 +166,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
         for extra in (0, 8):
             vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed, definite, extra)
             vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-            residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
+            residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
             try:
                 meta.update(_verify_inertia(a, mass, vals, k))
                 break
@@ -181,7 +181,8 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     result_vecs = vecs[:, :k].copy()
     return SpectrumResult(result_vals, result_vecs, residuals[:k].copy(),
                           _zero_count(result_vals),
-                          {"tol": tol, "seed": seed, **meta})
+                          {"tol": tol, "seed": seed, **meta,
+                           "pencil_residuals": pencil[:k].copy()})
 
 
 def _solve_dense(a, m_diag, k):
@@ -252,6 +253,9 @@ def _certify_orthonormal(vals, vecs, m_diag):
 
 
 def _certify_residuals(a, m_diag, vals, vecs, tol):
+    """Relative residuals ||r|| / (||A||_inf ||x||_M), which certify each
+    pair against ``tol``, and the pencil-norm residuals
+    ||r||_{M^-1} / ||x||_M of the same r = A x - lambda M x."""
     # Independent matvec on the stored operators, not ARPACK internals.
     r = a @ vecs - (m_diag[:, None] * vecs) * vals[None, :]
     norms = np.linalg.norm(r, axis=0)
@@ -262,7 +266,7 @@ def _certify_residuals(a, m_diag, vals, vecs, tol):
     if residuals[worst] > tol:
         raise EigensolveError(
             f"residual certificate failed at pair {worst}: {residuals[worst]:.3e} > {tol:.1e}")
-    return residuals
+    return residuals, np.sqrt(np.einsum("ij,ij->j", r, r / m_diag[:, None])) / x_m
 
 
 def _gap_shift(vals, k):
@@ -374,7 +378,7 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
                       for lift, lo, hi in zip(lifts, starts[:-1], starts[1:])])
     vecs = vecs[:, np.searchsorted(chosen, pick)]
     vals, vecs = _certify_orthonormal(ranked[:k], vecs, m_diag)
-    residuals = _certify_residuals(a, m_diag, vals, vecs, tol)
+    residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
     complete = ranked[ranked < bound]
     edge = complete if np.isinf(bound) else np.append(complete, bound)
     shift = _gap_shift(edge, k)[0]
@@ -385,7 +389,8 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
         last = np.flatnonzero(np.diff(lows) > 1e-8 * scale)[-1]
         shift = float(lows[last] + lows[last + 1]) / 2.0
     meta = {"tol": tol, "complete_below": bound, "inertia_source": "merged",
-            "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
+            "inertia_shift": shift, "inertia_count": int((complete < shift).sum()),
+            "pencil_residuals": pencil}
     return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
 
 

@@ -59,7 +59,9 @@ class HeisenbergGrid:
     mode, so the discrete operator is singular (in the t-modes of
     ``kohn_spectrum``: one frequency is 0, and its mode is the plain
     (x, y) Laplacian D_x^T D_x + D_y^T D_y, which has that kernel).
-    The half-widths ``a`` and ``T`` must be finite and positive.
+    The half-widths ``a`` and ``T`` must be finite and positive, and
+    the operator's coefficients finite: the axes, the spacings h, 1/h^2
+    and the largest (x/2)^2/h_t^2, before anything is assembled.
 
     ``axes`` holds one coordinate array per axis in the order
     x_1..x_n, y_1..y_n, t.  Interior node i of an axis of half-width w
@@ -86,6 +88,15 @@ class HeisenbergGrid:
         if not (0 < self.a < np.inf and 0 < self.T < np.inf):
             raise ValueError(f"box half-widths must be finite and positive, "
                              f"got a={self.a}, T={self.T}")
+        with np.errstate(all="ignore"):
+            h = np.array(self.spacings)
+            x_half = self.axes[0][-1] / 2.0
+            terms = {"axes": np.concatenate(self.axes), "spacings": h,
+                     "1/h^2": 1.0 / h ** 2, "(x/2)^2/h_t^2": x_half ** 2 / h[-1] ** 2}
+        overflow = [name for name, v in terms.items() if not np.isfinite(v).all()]
+        if overflow:
+            raise ValueError(f"box a={self.a}, T={self.T} on g={self.g} nodes overflows "
+                             f"the operator: {', '.join(overflow)} not finite")
 
     @cached_property
     def axes(self):

@@ -125,16 +125,19 @@ class TriangleMesh:
     def _build_edges(self):
         f = self.faces
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        undirected = np.sort(directed, axis=1)
-        edges, inverse, counts = np.unique(
-            undirected, axis=0, return_inverse=True, return_counts=True
+        v = self.num_vertices
+        # min * V + max orders the undirected edges lexicographically
+        keys, inverse, counts = np.unique(
+            directed.min(axis=1) * v + directed.max(axis=1),
+            return_inverse=True, return_counts=True,
         )
+        edges = np.stack([keys // v, keys % v], axis=1)
         if (counts > 2).any():
             e = edges[np.nonzero(counts > 2)[0][0]]
             raise MeshError(f"edge {tuple(e)} has more than two incident faces")
         # Opposite traversal by the two incident faces <=> no directed
         # duplicate among the 3F directed face sides.
-        key = directed[:, 0] * self.num_vertices + directed[:, 1]
+        key = directed[:, 0] * v + directed[:, 1]
         if np.unique(key).size != key.size:
             order = np.argsort(key, kind="stable")
             dup = order[np.nonzero(np.diff(key[order]) == 0)[0][0]]
@@ -237,25 +240,25 @@ def icosphere(radius=1.0, refinement=0):
 
 
 def _subdivide_on_sphere(verts, faces):
-    """Split each face into four, projecting edge midpoints onto the unit sphere."""
-    vlist = list(verts)
-    midpoint = {}
+    """Split each face into four, projecting edge midpoints onto the unit sphere.
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = midpoint.get(key)
-        if idx is None:
-            p = vlist[i] + vlist[j]
-            vlist.append(p / np.linalg.norm(p))
-            idx = len(vlist) - 1
-            midpoint[key] = idx
-        return idx
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return np.array(vlist), np.array(out, dtype=np.int64)
+    Midpoints are numbered after the old vertices in order of first
+    encounter along the face sides (a, b), (b, c), (c, a), face by face.
+    """
+    v = len(verts)
+    sides = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = sides.min(axis=1) * v + sides.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[order] = np.arange(first.size)
+    i, j = sides[first[order]].T
+    p = verts[i] + verts[j]
+    mids = (v + rank[inverse]).reshape(-1, 3)
+    (a, b, c), (ab, bc, ca) = faces.T, mids.T
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return (np.concatenate([verts, p / np.sqrt(np.vecdot(p, p))[:, None]]),
+            out.reshape(-1, 3))
 
 
 def clifford_torus(n_u, n_v):

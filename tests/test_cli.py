@@ -165,6 +165,14 @@ def test_heisenberg_command(tmp_path, capsys):
     assert "finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["1e308", "1e200"])
+def test_heisenberg_refuses_an_overflowing_box(box, capsys, monkeypatch):
+    monkeypatch.setattr(artifact.cli, "kohn_spectrum",
+                        lambda *a, **kw: pytest.fail("solved an overflowing box"))
+    assert main(["heisenberg", "--n", "1", "--box", box, "1", "--grid", "16"]) == 1
+    assert "overflows the operator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["heisenberg", "--n", "1", "--grid", "32", "--j-max", "0"],
     ["audit", "--mesh", "icosphere4", "--suite", "closed", "--j-max", "0"],

@@ -76,6 +76,28 @@ def test_derived_one_forms_match_direct_solve(refinement):
     assert "meta" not in derived.to_json_dict(1)
 
 
+def test_coexact_map_of_dual_graph_pairs_certifies_on_p1(sphere3):
+    """Each nonzero dual-graph p = 2 pair (lam, y) maps to
+    w = star1^-1 d1^T y / sqrt(lam), a star1-unit eigenvector of the
+    p = 1 pencil with the same value; every coexact value of the derived
+    spectrum is one of them."""
+    spec2 = solve_pair(hodge_laplacian(sphere3, 2), k=22)
+    pair1 = hodge_laplacian(sphere3, 1)
+    c = sphere3.dec
+    lam, y = spec2.eigenvalues[1:], spec2.eigenvectors[:, 1:]
+    w = (c.d1.T @ y) / (c.star1.diag[:, None] * np.sqrt(lam))
+    gram = w.T @ (pair1.mass_diag[:, None] * w)
+    assert np.abs(gram - np.eye(len(lam))).max() < 1e-10
+    r = pair1.stiffness @ w - (pair1.mass_diag[:, None] * w) * lam
+    scale = np.abs(pair1.stiffness).sum(axis=1).max()
+    assert (np.linalg.norm(r, axis=0) / scale).max() < 1e-12
+    derived = closed_spectra(sphere3, k=22)[1]
+    assert derived.meta["method"] == "derived"
+    assert derived.residuals.max() < 1e-12
+    coexact = np.isin(derived.eigenvalues, lam)
+    assert coexact.any() and not coexact.all()
+
+
 def test_sphere_factors_no_one_form_pencil(monkeypatch, sphere3):
     dims = record_factor_dims(monkeypatch)
     spectra = closed_spectra(sphere3, k=22)

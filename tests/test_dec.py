@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import artifact.dec
-from artifact.audit import audit_closed, closed_spectra
+from artifact.audit import audit_closed, closed_spectra, reconstruct_density
 from artifact.dec import (EigenproblemPair, assert_symmetric,
                           dirichlet_laplacian, exterior_derivative,
                           hodge_laplacian, hodge_star)
-from artifact.eigensolve import solve_pair
+from artifact.eigensolve import cluster_slices, solve_pair
 from artifact.mesh import MeshError, flat_rectangle, icosphere
+from star2_pencil import star2_density, star2_pencil
 
 
 def test_d0_incidence_structure(tetra):
@@ -119,18 +121,79 @@ def test_p0_kernel_is_constants(sphere2):
 
 
 def test_p2_pencil_equals_dual_p0_pencil(sphere2):
-    """The 2-form pencil is exactly similar to the dual-complex 0-form
-    pencil (d1 star1^-1 d1^T, star2^-1); their spectra agree to roundoff."""
+    """The 2-form pencil is the dual-complex 0-form pencil
+    (d1 star1^-1 d1^T, diag(face areas)), congruent by star2 to the weak
+    form of the star2-pencil oracle; their spectra agree to roundoff."""
     pair2 = hodge_laplacian(sphere2, 2)
-    d1 = exterior_derivative(sphere2, 1)
-    s1 = hodge_star(sphere2, 1)
-    s2 = hodge_star(sphere2, 2)
-    a_dual = (d1 @ sp.diags(1.0 / s1.diag) @ d1.T).toarray()
-    m_dual = np.diag(1.0 / s2.diag)
-    vals_dual = scipy.linalg.eigh(a_dual, m_dual, eigvals_only=True)
+    oracle = star2_pencil(sphere2)
+    assert np.array_equal(pair2.mass_diag, sphere2.face_areas)
+    vals_oracle = scipy.linalg.eigh(oracle.stiffness.toarray(), np.diag(oracle.mass_diag),
+                                    eigvals_only=True)
     vals_p2 = scipy.linalg.eigh(pair2.stiffness.toarray(),
                                 np.diag(pair2.mass_diag), eigvals_only=True)
-    assert np.abs(vals_dual - vals_p2).max() < 1e-8 * max(vals_p2.max(), 1.0)
+    assert np.abs(vals_oracle - vals_p2).max() < 1e-8 * max(vals_p2.max(), 1.0)
+
+
+@pytest.mark.parametrize("refinement", [3, 4])
+def test_dual_graph_p2_matches_star2_oracle(refinement):
+    """Same eigenvalues to 1e-12 relative away from the kernel; each
+    cluster of eigenvectors y spans what star2 v of the oracle spans
+    (y = +-star2 v for the simple kernel; the icosahedral symmetry
+    leaves every other cluster of size 3, 4 or 5), and the p = 2
+    densities, summed over each cluster so that no choice of basis moves
+    them, agree to the accuracy of the two solves' vectors.  The last
+    cluster may be cut at k, so it is left out.  On the same vector,
+    the density of y = star2 v is the oracle's density of v to 1e-12."""
+    mesh = icosphere(1.0, refinement)
+    new = solve_pair(hodge_laplacian(mesh, 2), k=22)
+    old = solve_pair(star2_pencil(mesh), k=22)
+    lam = old.eigenvalues
+    assert new.zero_count == old.zero_count == 1
+    rel = np.abs(new.eigenvalues[1:] - lam[1:]) / lam[1:]
+    assert rel.max() < 1e-12
+    fa = mesh.face_areas
+    y, x = new.eigenvectors, mesh.dec.star2.diag[:, None] * old.eigenvectors
+    clusters = cluster_slices(lam, 1e-8 * lam[-1])[:-1]
+    assert clusters[0] == slice(0, 1)
+    for cl in clusters:
+        span = y[:, cl] @ (y[:, cl].T @ (fa[:, None] * x[:, cl]))
+        assert np.abs(x[:, cl] - span).max() < 1e-9
+        if cl.stop - cl.start == 1:
+            assert np.abs(np.abs(y[:, cl]) - np.abs(x[:, cl])).max() < 1e-9
+        # each density integrates to 1; compare in that integral norm
+        rho_new = sum(reconstruct_density(mesh, 2, y[:, j]).values for j in range(cl.start, cl.stop))
+        rho_old = sum(star2_density(mesh, old.eigenvectors[:, j]) for j in range(cl.start, cl.stop))
+        assert fa @ np.abs(rho_new - rho_old) < 1e-9 * (cl.stop - cl.start)
+    for j in range(len(lam)):
+        # the density of y = star2 v is the oracle's density of v
+        rho = reconstruct_density(mesh, 2, x[:, j]).values
+        rho_old = star2_density(mesh, old.eigenvectors[:, j])
+        assert np.abs(rho - rho_old).max() < 1e-12 * rho_old.max()
+
+
+def test_dual_graph_p2_on_clamped_torus(torus16):
+    """clifford16 has one clamped (zero-cotangent) edge per cell, so both
+    forms carry 1/eps = 1e8-sized entries and neither is accurate to
+    1e-12 (ROADMAP item 3).  Each value still lies within the sum of the
+    two certified pencil-norm residuals of the other form's value."""
+    new = solve_pair(hodge_laplacian(torus16, 2), k=22)
+    old = solve_pair(star2_pencil(torus16), k=22)
+    assert new.zero_count == old.zero_count == 1
+    bound = new.meta["pencil_residuals"] + old.meta["pencil_residuals"]
+    assert (np.abs(new.eigenvalues - old.eigenvalues) <= bound).all()
+    assert (bound[1:] < 1e-5 * old.eigenvalues[1:]).all()
+
+
+def test_p2_pencil_in_eigenvalue_units():
+    """On icosphere4 ||A'||_inf of the dual-graph form is 11.7, in the
+    units of its eigenvalues, not the 2.2e6 of the star2 form, so the
+    solver's shift -1e-6 trace(A)/dim sits next to the kernel."""
+    mesh = icosphere(1.0, 4)
+    pair = hodge_laplacian(mesh, 2)
+    assert spla.norm(pair.stiffness, np.inf) < 100.0
+    assert spla.norm(star2_pencil(mesh).stiffness, np.inf) > 1e6
+    res = solve_pair(pair, k=22)
+    assert abs(res.meta["sigma"]) < 1e-4 * res.eigenvalues[1]
 
 
 def test_p2_spectrum_converges_to_p0(sphere2, sphere3):

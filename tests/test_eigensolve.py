@@ -254,6 +254,58 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     assert merged_eigenpairs(a, None, parts, 8, tol=1e-8) is None
 
 
+def random_pencil(dim, seed):
+    """A sparse PSD stiffness and a non-identity mass spread over two
+    decades."""
+    rng = np.random.default_rng(seed)
+    d = sp.random(2 * dim, dim, density=0.05, random_state=seed, format="csr")
+    a = (d.T @ d + sp.diags(rng.uniform(0.0, 1.0, dim) * (np.arange(dim) > 0))).tocsr()
+    return a, 10.0 ** rng.uniform(-1.0, 1.0, dim)
+
+
+def dense_pencil_residuals(a, mass, vals, x):
+    """||A x - lambda M x||_{M^-1} / ||x||_M with a dense M and M^-1."""
+    m = np.diag(mass)
+    r = a.toarray() @ x - m @ x * vals
+    return (np.sqrt(np.einsum("ij,ij->j", r, np.linalg.inv(m) @ r))
+            / np.sqrt(np.einsum("ij,ij->j", x, m @ x)))
+
+
+@pytest.mark.parametrize("dim", [40, 150])
+def test_pencil_residuals_match_dense_pencil_norms(dim):
+    """meta["pencil_residuals"] is ||r||_{M^-1} / ||x||_M of r = A x - lambda M x,
+    and bounds the distance from each computed value to an eigenvalue of
+    the dense pencil; on perturbed pairs, whose residuals stand far above
+    rounding, it is the dense value to 1e-10."""
+    a, mass = random_pencil(dim, seed=dim)
+    res = smallest_eigenpairs(a, mass, k=8)
+    got = res.meta["pencil_residuals"]
+    assert got.shape == (8,)
+    expect = dense_pencil_residuals(a, mass, res.eigenvalues, res.eigenvectors)
+    assert np.abs(got - expect).max() < 1e-13 * res.eigenvalues[-1]
+    exact = eigh(a.toarray(), np.diag(mass), eigvals_only=True)
+    gaps = np.abs(res.eigenvalues[:, None] - exact[None, :]).min(axis=1)
+    assert (gaps <= got + 1e-13 * exact.max()).all()
+    assert (res.residuals <= 1e-8).all()
+
+    rng = np.random.default_rng(dim)
+    vecs = res.eigenvectors + 1e-6 * rng.standard_normal(res.eigenvectors.shape)
+    relative, pencil = _certify_residuals(a, mass, res.eigenvalues, vecs, 1e-4)
+    assert np.allclose(pencil, dense_pencil_residuals(a, mass, res.eigenvalues, vecs),
+                       rtol=1e-10, atol=0.0)
+    assert pencil.min() > 1e-8 and relative.min() > 1e-9
+
+
+def test_merged_eigenpairs_record_pencil_residuals():
+    a, mass = random_pencil(80, seed=3)
+    res = smallest_eigenpairs(a, mass, k=6)
+    merged = merged_eigenpairs(a, mass, [(res.eigenvalues, float(res.eigenvalues[-1]),
+                                          lambda idx: res.eigenvectors[:, idx])], 5)
+    expect = dense_pencil_residuals(a, mass, merged.eigenvalues, merged.eigenvectors)
+    assert merged.meta["pencil_residuals"].shape == (5,)
+    assert np.abs(merged.meta["pencil_residuals"] - expect).max() < 1e-13 * merged.eigenvalues[-1]
+
+
 def test_inertia_detects_missed_duplicate():
     a = sp.diags([1.0, 1.0, 2.0, 5.0]).tocsr()
     with pytest.raises(CertificationError, match="missed"):
@@ -400,7 +452,7 @@ def test_dense_path_matches_reference(dim, data_seed):
     ones = np.ones(dim)
     vals, vecs, _ = _solve_dense(a, ones, dim)
     vals, vecs = _certify_orthonormal(vals, vecs, ones)
-    residuals = _certify_residuals(a, ones, vals, vecs, 1e-8)
+    residuals, _ = _certify_residuals(a, ones, vals, vecs, 1e-8)
     ref = np.linalg.eigvalsh(b + b.T)
     scale = max(np.abs(ref).max(), 1.0)
     assert np.abs(vals - ref).max() < 1e-9 * scale

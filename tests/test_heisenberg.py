@@ -118,6 +118,18 @@ def test_grid_validation():
         assert np.array_equal(axis[::-1], -axis)
 
 
+def test_grid_refuses_an_overflowing_operator():
+    # finite half-widths whose axes, spacings or (x/2)^2 D_t^T D_t terms
+    # overflow are refused before anything is assembled
+    with pytest.raises(ValueError, match="overflows the operator: axes, spacings"):
+        heisenberg_grid(1, 1e308, 1.0, 16)
+    with pytest.raises(ValueError, match=r"overflows the operator: \(x/2\)\^2/h_t\^2"):
+        heisenberg_grid(1, 1e200, 1.0, 16)
+    with pytest.raises(ValueError, match="1/h"):
+        heisenberg_grid(1, 1.0, 1e-200, 16)
+    heisenberg_grid(2, 1e3, 1e-3, 48)
+
+
 def test_grid_geometry():
     grid = heisenberg_grid(1, 1.0, 2.0, 16)
     assert grid.num_nodes == 14**3

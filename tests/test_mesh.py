@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import artifact.mesh
+from artifact.cli import _build_fixture
 from artifact.mesh import (MeshError, TriangleMesh, clifford_torus,
                            flat_rectangle, generate, geodesic_cap, icosphere,
                            load_mesh, save_mesh)
 from conftest import tetrahedron
+from mesh_oracle import build_edges_axis0, subdivide_on_sphere_loop
 
 try:
     from hypothesis import given, settings
@@ -159,6 +162,27 @@ def test_off_rejects_malformed(tmp_path):
     path.write_text("OFF\n3 1 3\n0 0 0\n1 0 0\nnot a number 0\n3 0 1 2\n")
     with pytest.raises(MeshError):
         load_mesh(path)
+
+
+MESH_ARRAYS = ("vertices", "faces", "edges", "face_edges", "face_edge_signs",
+               "boundary_vertex", "face_areas", "vertex_areas")
+
+
+@pytest.mark.parametrize("family, levels", [
+    ("icosphere", range(6)), ("square", (16, 64)), ("clifford", (16, 64)), ("cap", (3, 4, 5))])
+def test_mesh_build_matches_loop_oracle_bitwise(family, levels, monkeypatch):
+    """The vectorized midpoint numbering and edge keys build bitwise the
+    meshes of the per-edge loop and the row-wise unique."""
+    built = {lvl: _build_fixture(family, lvl)[0] for lvl in levels}
+    monkeypatch.setattr(artifact.mesh, "_subdivide_on_sphere", subdivide_on_sphere_loop)
+    monkeypatch.setattr(TriangleMesh, "_build_edges", build_edges_axis0)
+    for lvl in levels:
+        oracle = _build_fixture(family, lvl)[0]
+        for name in MESH_ARRAYS:
+            got, want = getattr(built[lvl], name), getattr(oracle, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, (lvl, name)
+            assert np.array_equal(got, want), (lvl, name)
+        assert built[lvl].total_area == oracle.total_area
 
 
 def test_surface_measures_consistent(sphere3):
