@@ -92,26 +92,6 @@ the interpolated norm from the lumped norm the solver used).
 # -- Whitney interpolation -------------------------------------------------
 
 
-def _barycentric_gradients(mesh):
-    """Gradients of the three barycentric coordinates per face, (F, 3, d).
-
-    grad lambda_a is orthogonal to the opposite edge within the face
-    plane, has norm 1/height_a, and works in any ambient dimension.
-    """
-    tri = mesh.vertices[mesh.faces]
-    grads = np.empty_like(tri)
-    for a in range(3):
-        pa = tri[:, a]
-        pb = tri[:, (a + 1) % 3]
-        pc = tri[:, (a + 2) % 3]
-        u = pc - pb
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        w = pa - pb
-        w = w - np.einsum("ij,ij->i", w, u)[:, None] * u
-        grads[:, a] = w / np.einsum("ij,ij->i", w, w)[:, None]
-    return grads
-
-
 def whitney_face_mass(mesh):
     """Per-face 3x3 mass matrices of the Whitney 1-form basis, (F, 3, 3).
 
@@ -122,33 +102,21 @@ def whitney_face_mass(mesh):
         int_T <W_ij, W_kl> = (A/12) [ (1 + d_ik) g_jl - (1 + d_il) g_jk
                                       - (1 + d_jk) g_il + (1 + d_jl) g_ik ]
 
-    where g is the Gram matrix of the barycentric gradients.
+    where g = G / (4 A^2) is the Gram matrix of the barycentric
+    gradients, G the side Gram ``mesh.side_gram`` (grad lambda_a is the
+    side opposite corner a turned a quarter in the face plane, over 2A).
+    Face side s runs from corner i = s to corner j = s + 1, and
+    ``mesh.face_edge_signs`` turns it to the canonical orientation.
     """
-    grads = _barycentric_gradients(mesh)
-    gram = np.einsum("fad,fbd->fab", grads, grads)
-
-    # local corner index (0, 1, 2) of each edge endpoint within its face
-    tails = mesh.edges[mesh.face_edges, 0]
-    heads = mesh.edges[mesh.face_edges, 1]
-    loc_tail = np.empty_like(tails)
-    loc_head = np.empty_like(heads)
-    for corner in range(3):
-        loc_tail[tails == mesh.faces[:, corner][:, None]] = corner
-        loc_head[heads == mesh.faces[:, corner][:, None]] = corner
-
-    n_faces = mesh.num_faces
-    rows = np.arange(n_faces)
-    local = np.empty((n_faces, 3, 3))
-    for s in range(3):
-        i, j = loc_tail[:, s], loc_head[:, s]
-        for t in range(3):
-            k, l = loc_tail[:, t], loc_head[:, t]
-            term = ((1.0 + (i == k)) * gram[rows, j, l]
-                    - (1.0 + (i == l)) * gram[rows, j, k]
-                    - (1.0 + (j == k)) * gram[rows, i, l]
-                    + (1.0 + (j == l)) * gram[rows, i, k])
-            local[:, s, t] = mesh.face_areas / 12.0 * term
-    return local
+    s = np.arange(3)[:, None]  # row side s: corners i = s, j = s + 1
+    t = s.T                    # column side t: corners k = t, l = t + 1
+    s1, t1 = (s + 1) % 3, (t + 1) % 3
+    g = mesh.side_gram
+    term = ((1.0 + (s == t)) * (g[:, s1, t1] + g[:, s, t])
+            - ((1.0 + (s == t1)) * g[:, s1, t] + (1.0 + (s1 == t)) * g[:, s, t1]))
+    sign = mesh.face_edge_signs
+    return term * (sign[:, :, None] * sign[:, None, :]
+                   / (48.0 * mesh.face_areas)[:, None, None])
 
 
 def reconstruct_density(mesh, p, vec, face_mass=None):

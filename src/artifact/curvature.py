@@ -7,6 +7,11 @@ fundamental form norm from the Gauss equation |h|^2 = |H|^2 - 2K, which
 holds for surfaces in any codimension.  The phi(h, H) field combines
 these into the pointwise bound entering the sup-norm inequalities.
 
+Corner angles, like the cotangent weights of the 0-form stiffness, are
+read from the mesh's one side Gram matrix ``mesh.side_gram`` (entry
+[a, b] = e_a . e_b for the side e_a = p_{a+2} - p_{a+1} opposite corner
+a), not from the corner positions.
+
 Pointwise accuracy note: both estimators divide by the barycentric
 lumped vertex area, so on meshes with irregular vertices (the 12
 valence-5 vertices of an icosphere) the pointwise values carry a
@@ -76,15 +81,16 @@ def mean_curvature_vector(mesh):
 
 
 def gaussian_curvature(mesh):
-    """Angle defect over lumped vertex area: K = (2 pi - sum of angles) / area."""
-    v = mesh.vertices[mesh.faces]
-    angles = np.zeros(mesh.num_vertices)
-    for corner in range(3):
-        u1 = v[:, (corner + 1) % 3] - v[:, corner]
-        u2 = v[:, (corner + 2) % 3] - v[:, corner]
-        c = np.einsum("ij,ij->i", u1, u2) / np.sqrt(
-            np.einsum("ij,ij->i", u1, u1) * np.einsum("ij,ij->i", u2, u2))
-        np.add.at(angles, mesh.faces[:, corner], np.arccos(np.clip(c, -1.0, 1.0)))
+    """Angle defect over lumped vertex area: K = (2 pi - sum of angles) / area.
+
+    Corner c lies between the sides e_{c+2} and -e_{c+1}, so its angle is
+    arccos(-G[c+2, c+1] / sqrt(G[c+2, c+2] G[c+1, c+1])) with G the side Gram.
+    """
+    g, prev, succ = mesh.side_gram, [2, 0, 1], [1, 2, 0]
+    cos = -g[:, prev, succ] / np.sqrt(g[:, prev, prev] * g[:, succ, succ])
+    # corner by corner, each in face order
+    angles = np.bincount(mesh.faces.T.ravel(), np.arccos(np.clip(cos, -1.0, 1.0)).T.ravel(),
+                         mesh.num_vertices)
     return (2.0 * np.pi - angles) / mesh.dec.star0.diag
 
 

@@ -104,19 +104,14 @@ def _cotangent_weights(mesh):
     """Per-edge (cot a + cot b)/2 over the incident faces.
 
     This equals the signed circumcentric dual length divided by the
-    primal edge length, in any ambient dimension.
+    primal edge length, in any ambient dimension.  Corner c lies between
+    the sides e_{c+2} and -e_{c+1} of ``mesh.side_gram``, so cot(c)/2 is
+    -G[c+2, c+1] / (4 A), and it weighs face side c + 1, the one opposite.
     """
-    v = mesh.vertices[mesh.faces]
-    w = np.zeros(mesh.num_edges)
-    for corner in range(3):
-        p0 = v[:, corner]
-        u1 = v[:, (corner + 1) % 3] - p0
-        u2 = v[:, (corner + 2) % 3] - p0
-        dot = np.einsum("ij,ij->i", u1, u2)
-        # corner angle is opposite the face side not touching it
-        opposite = mesh.face_edges[:, (corner + 1) % 3]
-        np.add.at(w, opposite, dot / (4.0 * mesh.face_areas))
-    return w
+    cot = -mesh.side_gram[:, [2, 0, 1], [1, 2, 0]] / (4.0 * mesh.face_areas[:, None])
+    # corner by corner, each in face order
+    return np.bincount(mesh.face_edges[:, [1, 2, 0]].T.ravel(), cot.T.ravel(),
+                       mesh.num_edges)
 
 
 def hodge_star(mesh, p):
@@ -204,8 +199,8 @@ def hodge_laplacian(mesh, p):
         a = c.d1 @ sp.diags(1.0 / c.star1.diag) @ c.d1.T
         mass = mesh.face_areas
         n = mesh.num_faces
-    a = _symmetrized(a)
     assert_symmetric(a, what=f"hodge laplacian p={p}")
+    a = _symmetrized(a)
     return EigenproblemPair(a, mass, p, False, np.arange(n), None)
 
 
@@ -231,6 +226,6 @@ def dirichlet_laplacian(mesh, potential=None):
     q_int = q[interior]
     q_int.setflags(write=False)
     a = a + sp.diags(mass * q_int)
-    a = _symmetrized(a)
     assert_symmetric(a, what="dirichlet laplacian")
+    a = _symmetrized(a)
     return EigenproblemPair(a.tocsr(), mass, 0, True, interior, q_int)

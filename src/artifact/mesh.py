@@ -6,6 +6,13 @@ are derived deterministically (edges sorted lexicographically by
 (min vertex, max vertex)).  Validation enforces edge-manifoldness,
 orientation consistency, non-degeneracy, and closed-surface Euler
 characteristics.
+
+All triangle geometry comes from one per-face side Gram matrix,
+``TriangleMesh.side_gram``: entry [f, a, b] is e_a . e_b, where
+e_a = p_{a+2} - p_{a+1} is the side of face f opposite corner a, taken
+around the face (indices mod 3).  Face areas, cotangent weights, corner
+angles and the Whitney 1-form mass all read it, so this module is the
+only one that gathers the corner positions ``vertices[faces]``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ class TriangleMesh:
         Edge index of each face side (v0,v1), (v1,v2), (v2,v0).
     face_edge_signs : (F, 3) ndarray of int
         +1 where the face traverses the edge from min to max vertex.
+    side_gram : (F, 3, 3) ndarray of float
+        Entry [f, a, b] = e_a . e_b for the sides e_a = p_{a+2} - p_{a+1}
+        opposite corner a.  Face side s of ``face_edges`` runs from corner
+        s to corner s + 1, so it is e_{s+2}.
     face_areas, vertex_areas : (F,) and (V,) ndarrays of float
         Triangle areas and barycentric lumped vertex areas (one third of
         every incident face area); ``total_area`` is their common sum.
@@ -75,7 +86,8 @@ class TriangleMesh:
         self._build_edges()
         self._validate_geometry()
         self._validate_topology()
-        for a in (self.vertices, self.faces, self.face_areas, self.vertex_areas):
+        for a in (self.vertices, self.faces, self.side_gram, self.face_areas,
+                  self.vertex_areas):
             a.setflags(write=False)
 
     # -- derived sizes ---------------------------------------------------
@@ -156,18 +168,20 @@ class TriangleMesh:
             a.setflags(write=False)
 
     def _validate_geometry(self):
-        # Triangle areas in any ambient dimension via the Gram determinant.
-        e1 = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
-        e2 = self.vertices[self.faces[:, 2]] - self.vertices[self.faces[:, 0]]
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        areas = 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))
+        # The one gather of corner positions: side a = p_{a+2} - p_{a+1}
+        # is opposite corner a, and the area is the Gram determinant of
+        # sides 2 = p1 - p0 and 1 = p0 - p2, in any ambient dimension.
+        corners = self.vertices[self.faces]
+        sides = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+        gram = np.einsum("fai,fbi->fab", sides, sides)
+        areas = 0.5 * np.sqrt(np.maximum(
+            gram[:, 2, 2] * gram[:, 1, 1] - gram[:, 2, 1] * gram[:, 2, 1], 0.0))
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         diag2 = float(span @ span)
         bad = areas <= _DEGENERACY_REL * diag2
         if bad.any():
             raise MeshError(f"degenerate face {int(np.nonzero(bad)[0][0])} (area below threshold)")
+        self.side_gram = gram
         self.face_areas = areas
         self.vertex_areas = np.zeros(self.num_vertices)
         np.add.at(self.vertex_areas, self.faces.ravel(), np.repeat(areas / 3.0, 3))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -241,6 +243,20 @@ def test_dirichlet_potential_validation(square16):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         dirichlet_laplacian(square16, bad)
+
+
+def test_pencils_check_symmetry_before_symmetrizing():
+    # (A + A^T)/2 is symmetric whatever A is, so the check must read the
+    # assembled stiffness; one perturbed off-diagonal entry between
+    # interior vertices of the 0-form stiffness is refused
+    for mesh, assemble in ((icosphere(1.0, 1), lambda m: hodge_laplacian(m, 0)),
+                           (flat_rectangle(1.0, 1.0, 4, 4), dirichlet_laplacian)):
+        s0 = mesh.dec.stiffness0.tocoo(copy=True)
+        inner = (s0.row != s0.col) & ~mesh.boundary_vertex[s0.row] & ~mesh.boundary_vertex[s0.col]
+        s0.data[np.argmax(inner * np.abs(s0.data))] *= 1.0 + 1e-6
+        mesh.dec = dataclasses.replace(mesh.dec, stiffness0=s0.tocsr())
+        with pytest.raises(ValueError, match="not symmetric"):
+            assemble(mesh)
 
 
 def test_assert_symmetric_raises():

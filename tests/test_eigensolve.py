@@ -13,7 +13,7 @@ from artifact.dec import hodge_laplacian
 from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
                                  _certify_orthonormal, _certify_residuals,
-                                 _factor_symmetric, _solve_dense,
+                                 _factor_symmetric, _gap_shift, _solve_dense,
                                  _verify_inertia, inertia_count,
                                  merged_eigenpairs, smallest_eigenpairs, solve_pair)
 from artifact.mesh import icosphere
@@ -317,6 +317,24 @@ def test_inertia_accepts_complete_spectrum():
     meta = _verify_inertia(a, None, np.array([1.0, 1.0, 2.0, 5.0]), k=2)
     assert meta["inertia_checked"]
     assert meta["inertia_count"] == 3
+
+
+def test_inertia_shift_takes_the_widest_gap_past_k():
+    # The pencil's third value is 2 + 4e-8, computed as 2 + 1e-7.  The
+    # first clear gap past k = 2 lies between 2 and 2 + 1e-7, and a
+    # shift there counts the third value on the other side; the widest
+    # gap, 2 + 1e-7 .. 5, keeps the shift clear of it.
+    diag = np.array([1.0, 2.0, 2.0 + 4e-8, 5.0])
+    vals = np.array([1.0, 2.0, 2.0 + 1e-7, 5.0])
+    a = sp.diags(diag).tocsr()
+    assert _gap_shift(vals, 2) == ((vals[2] + 5.0) / 2.0, (5.0 - vals[2]) / 4.0)
+    first_clear = (vals[1] + vals[2]) / 2.0
+    assert inertia_count(a, None, first_clear, 0.0)[0] == 3 != int((vals < first_clear).sum())
+    assert _verify_inertia(a, None, vals, k=2)["inertia_count"] == 3
+    # a wider gap below index k is not a candidate
+    assert _gap_shift(np.array([0.0, 10.0, 11.0, 12.5]), 2) == (11.75, 0.375)
+    # no clear gap at or past k: just past the top value
+    assert _gap_shift(np.array([0.0, 1.0, 1.0]), 2) == (1.0 + 1e-6, 1e-7)
 
 
 def test_inertia_count_matches_dense_counts():
