@@ -62,7 +62,7 @@ import numpy as np
 from .curvature import M_DIM, curvature_data, phi_field
 # dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import DENSE_CUTOFF, CertificationError, merged_eigenpairs, solve_pair
+from .eigensolve import CertificationError, max_pairs, merged_eigenpairs, solve_pair
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -250,10 +250,10 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
     without factoring it.  The derived values are complete at and below
     the smaller of the top p = 0 and top p = 2 eigenvalues, which the
     inertia checks of those two solves certify; if the k-th lies above
-    it, p = 0 and p = 2 are solved once more with 2k pairs, and a second
-    shortfall raises ``CertificationError``.  Other surfaces
-    (the torus carries b1 = 2 harmonic 1-forms) solve the p = 1 pencil
-    directly.
+    it, p = 0 and p = 2 are solved once more with 2k pairs (at most
+    ``max_pairs`` of their dimension), and a second shortfall raises
+    ``CertificationError``.  Other surfaces (the torus carries b1 = 2
+    harmonic 1-forms) solve the p = 1 pencil directly.
     """
     pairs = {p: hodge_laplacian(mesh, p) for p in (0, 1, 2)}
     spectra = {p: solve_pair(pairs[p], k=k, tol=tol, seed=seed) for p in (0, 2)}
@@ -262,7 +262,7 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
     else:
         spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k, tol)
         if spectra[1] is None:
-            wide = {p: solve_pair(pairs[p], k=_widened(2 * k, pairs[p].dim), tol=tol,
+            wide = {p: solve_pair(pairs[p], k=min(2 * k, max_pairs(pairs[p].dim)), tol=tol,
                                   seed=seed) for p in (0, 2)}
             spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k, tol)
         if spectra[1] is None:
@@ -270,11 +270,6 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
                 f"fewer than k={k} derived 1-form eigenvalues lie below the "
                 "completeness bound, even from 2k pairs of p=0 and p=2")
     return dict(sorted(spectra.items()))
-
-
-def _widened(k, dim):
-    """k capped at the most pairs ``solve_pair`` returns for dimension dim."""
-    return min(k, dim if dim <= DENSE_CUTOFF else dim - 2)
 
 
 def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
@@ -286,10 +281,11 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
     dual-graph pencil gives w = star1^-1 d1^T y / sqrt(lam), both
     star1-normalised, and
     b1 = 0 leaves no harmonic forms.  ``merged_eigenpairs`` takes the k
-    lowest mapped pairs, bounded by the top p = 0 and p = 2 eigenvalues
-    (a solve that returned its whole spectrum has no top), and
-    re-certifies them on ``pair1`` without factoring it; it returns None
-    when the k-th lies above the bound.  Since b1 = 0 the inertia count
+    lowest mapped pairs, bounded by the ``meta["complete_below"]`` of
+    the p = 0 and p = 2 solves (their top eigenvalue, or ``inf`` for a
+    solve that returned its whole spectrum), and re-certifies them on
+    ``pair1`` without factoring it; it returns None when the k-th lies
+    above the bound.  Since b1 = 0 the inertia count
     below any shift under the bound is (nu0 - 1) + (nu2 - 1), read off
     the two inertia-certified solves.
     """
@@ -308,8 +304,7 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
         return (c.d1.T @ spec2.eigenvectors[:, 1 + idx]) \
             / (c.star1.diag[:, None] * np.sqrt(lam2[idx]))
 
-    tops = [np.inf if len(s.eigenvalues) == s.eigenvectors.shape[0]
-            else float(s.eigenvalues[-1]) for s in (spec0, spec2)]
+    tops = [spec.meta["complete_below"] for spec in (spec0, spec2)]
     result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag,
                                list(zip((lam0, lam2), tops, (exact, coexact))), k, tol)
     if result is not None:

@@ -13,6 +13,15 @@ which parts of a spectrum have values below a bound before solving them.
 ``merged_eigenpairs`` assembles the k lowest pairs of a pencil from
 certified solves of its invariant subspaces and certifies them the same
 way, without factoring the pencil.
+
+This module alone decides four things about a computed spectrum:
+where one eigenvalue ends and the next begins (``clear_gaps``: a step
+wider than 1e-8 of the scale; the orthonormality clusters, the inertia
+shift of a solve, the merge's fallback shift and the Kohn count shift
+``count_shift`` all read it), where an inertia shift goes and with what
+step, how many pairs a solve can return (``max_pairs``), and below
+what bound a result is complete: every certified result records
+``meta["complete_below"]``.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
-           "smallest_eigenpairs", "merged_eigenpairs", "inertia_count", "solve_pair"]
+           "smallest_eigenpairs", "merged_eigenpairs", "inertia_count", "solve_pair",
+           "clear_gaps", "count_shift", "max_pairs"]
 
 DENSE_CUTOFF = 64
 
@@ -102,10 +112,23 @@ def _zero_count(vals):
     return int((vals < threshold).sum())
 
 
-def cluster_slices(vals, gap):
-    """Split ascending ``vals`` into runs of neighbours at most ``gap`` apart."""
-    cuts = [0, *(np.nonzero(np.diff(vals) > gap)[0] + 1).tolist(), len(vals)]
+def clear_gaps(vals, scale):
+    """Indices i at which ascending ``vals`` step up to vals[i + 1] by more
+    than 1e-8 ``scale``: the one rule for where one computed eigenvalue
+    ends and the next begins."""
+    return np.flatnonzero(np.diff(vals) > 1e-8 * scale)
+
+
+def cluster_slices(vals, scale):
+    """Split ascending ``vals`` into clusters at their ``clear_gaps``."""
+    cuts = [0, *(clear_gaps(vals, scale) + 1).tolist(), len(vals)]
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def max_pairs(dim):
+    """The most pairs ``smallest_eigenpairs`` returns for dimension dim:
+    all of them on the dense path, dim - 2 on the Lanczos path."""
+    return dim if dim <= DENSE_CUTOFF else dim - 2
 
 
 def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
@@ -117,8 +140,9 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     mass : 1-d array_like of dim positive diagonal entries, or None
         None means the identity (standard problem).
     k : int
-        Number of pairs; k <= dim - 2 on the iterative path (small
-        problems fall back to a dense solve that allows k <= dim).
+        Number of pairs, at most ``max_pairs(dim)``: dim - 2 on the
+        iterative path (small problems fall back to a dense solve that
+        allows k <= dim).
     tol : float
         Residual certificate bound, in (0, 1e-4].
     seed : int
@@ -136,30 +160,30 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     Returns
     -------
     SpectrumResult
-        On the iterative path ``meta`` holds the shift ``sigma``, the
-        inertia shift and count, and ``factor_nnz`` and ``inertia_nnz``:
-        the entries SuperLU stores for the shift factorization and for
-        the inertia factorization that certified the result.
+        ``meta["complete_below"]`` is at or below every eigenvalue not
+        returned: ``inf`` when k = dim, the last returned value
+        otherwise.  On the iterative path ``meta`` also holds the shift
+        ``sigma``, the inertia shift and count, and ``factor_nnz`` and
+        ``inertia_nnz``: the entries SuperLU stores for the shift
+        factorization and for the inertia factorization that certified
+        the result.
     """
     a = sp.csr_matrix(a)
     dim = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("stiffness operator must be square")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= max_pairs(dim):
+        raise ValueError(f"k={k} is not in 1..{max_pairs(dim)}, the pairs a solve of "
+                         f"dimension {dim} returns")
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
     m_op, m_diag = _mass_matrix(mass, dim)
 
     if dim <= DENSE_CUTOFF:
-        if k > dim:
-            raise ValueError(f"k={k} exceeds problem dimension {dim}")
         vals, vecs, meta = _solve_dense(a, m_diag, k)
         vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
         residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
     else:
-        if k > dim - 2:
-            raise ValueError(f"k={k} exceeds dim - 2 = {dim - 2} on the iterative path")
         # When the inertia count shows that a tight cluster lost a member
         # to the Lanczos iteration (typical for exactly doubled spectra),
         # recover once with a deeper Krylov space and re-certify everything.
@@ -182,6 +206,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
     return SpectrumResult(result_vals, result_vecs, residuals[:k].copy(),
                           _zero_count(result_vals),
                           {"tol": tol, "seed": seed, **meta,
+                           "complete_below": np.inf if k == dim else float(result_vals[-1]),
                            "pencil_residuals": pencil[:k].copy()})
 
 
@@ -192,7 +217,7 @@ def _solve_dense(a, m_diag, k):
 
 def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
     dim = a.shape[0]
-    k_solve = min(k + 4 + extra, dim - 2)
+    k_solve = min(k + 4 + extra, max_pairs(dim))
     ncv = min(dim - 1, max(3 * k_solve + 1, 40)) if extra else None
     sigma = 0.0 if definite else -1e-6 * float(a.diagonal().sum()) / dim
     if not definite and sigma == 0.0:
@@ -236,7 +261,7 @@ def _certify_orthonormal(vals, vecs, m_diag):
         # Re-orthonormalize inside clusters (ARPACK can return slightly
         # skewed bases for tight clusters), then recheck.
         scale = max(float(np.abs(vals).max()), float(vals[-1] - vals[0]), 1e-300)
-        for cl in cluster_slices(vals, 1e-8 * scale):
+        for cl in cluster_slices(vals, scale):
             if cl.stop - cl.start < 2:
                 continue
             block = vecs[:, cl]
@@ -269,25 +294,52 @@ def _certify_residuals(a, m_diag, vals, vecs, tol):
     return residuals, np.sqrt(np.einsum("ij,ij->j", r, r / m_diag[:, None])) / x_m
 
 
+def _shift_scale(vals):
+    """max(|top|, top - bottom, 1) of ascending ``vals``: the scale of an
+    inertia shift placed among them and of their clear gaps."""
+    return max(abs(float(vals[-1])), float(vals[-1] - vals[0]), 1.0)
+
+
+def _gap_middle(vals, i):
+    """The middle of the gap vals[i] .. vals[i + 1], and a quarter of the
+    gap as the step for moving a shift placed there."""
+    return float(vals[i] + vals[i + 1]) / 2.0, float(vals[i + 1] - vals[i]) / 4.0
+
+
 def _gap_shift(vals, k):
-    """lambda' in the widest gap among ascending ``vals`` at or beyond index
-    k, and a quarter of that gap as the step for moving it; just past
-    vals[-1] when no gap there is wider than 1e-8 of the spectrum's scale.
+    """lambda' in the widest clear gap among ascending ``vals`` at or beyond
+    index k, with its ``_gap_middle`` step; just past vals[-1] when no gap
+    there is clear (``clear_gaps``) at the ``_shift_scale``.
     """
-    scale = max(abs(float(vals[-1])), float(vals[-1] - vals[0]), 1.0)
+    scale = _shift_scale(vals)
     tail = vals[k - 1:]
-    if len(tail) > 1:
-        gaps = np.diff(tail)
+    clear = clear_gaps(tail, scale)
+    if clear.size:
         # The widest gap, not the first clear one: it keeps lambda' as far
         # from every computed value as they allow, so the error of a value
         # cannot carry it across lambda' in the factorization's count.  With
         # the first clear gap, the clifford64 closed audit (j_max 20, seed 2)
         # put lambda' = 15.96 in a split cluster and counted 22 against 23
         # computed values, even after the deeper-Krylov retry.
-        widest = int(np.argmax(gaps))
-        if gaps[widest] > 1e-8 * scale:
-            return float(tail[widest] + tail[widest + 1]) / 2.0, float(gaps[widest]) / 4.0
+        return _gap_middle(tail, clear[np.argmax(np.diff(tail)[clear])])
     return float(vals[-1]) + 1e-6 * scale, 1e-7 * scale
+
+
+def count_shift(values, bound, k):
+    """Shift B at which a part of a spectrum is counted, and its step: the
+    ``_gap_middle`` of the first clear gap at or past the k-th lowest of
+    the ``values`` below ``bound``, followed by ``bound`` itself;
+    ``bound`` when no such gap lies below it.  So B is at or above the
+    k-th lowest value whenever that is at or below ``bound``.  The first
+    clear gap, not the widest as in ``_gap_shift``, keeps B, and with it
+    the number of pairs a later part is solved for, as low as it can be.
+    """
+    edge = np.append(np.sort(values[values < bound]), bound)
+    scale = _shift_scale(edge)
+    clear = clear_gaps(edge[k - 1:], scale)
+    if clear.size == 0:
+        return bound, 1e-7 * scale
+    return _gap_middle(edge, k - 1 + clear[0])
 
 
 def inertia_count(a, mass, shift, step):
@@ -360,12 +412,11 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     placed where ``_verify_inertia`` would put it for the union values
     strictly below the bound followed by the bound itself.  When that
     is not below the bound (no wide gap at or past the k-th value), the
-    shift goes to the middle of the last clear gap below the bound, one
-    wider than 1e-8 of the spectrum's scale, so that it keeps clear of
-    every computed eigenvalue: two values a rounding error apart may be
-    one eigenvalue computed twice, and a shift between them would count
-    it on one side in the merge and on the other in a factorization of
-    the pencil.  Nothing is factored here: the count is read off the
+    shift goes to the middle of the last of their ``clear_gaps`` below
+    the bound, so that it keeps clear of every computed eigenvalue: two
+    values a rounding error apart may be one eigenvalue computed twice,
+    and a shift between them would count it on one side in the merge
+    and on the other in a factorization of the pencil.  Nothing is factored here: the count is read off the
     merged values (``inertia_source: "merged"``), and rests on the
     inertia checks or counts of the parts.
     """
@@ -390,10 +441,9 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     shift = _gap_shift(edge, k)[0]
     if shift >= bound:
         # the middle of the last clear gap, the one below edge[0] if none
-        scale = max(abs(bound), float(edge[-1] - edge[0]), 1.0)
+        scale = _shift_scale(edge)
         lows = np.insert(edge, 0, edge[0] - scale)
-        last = np.flatnonzero(np.diff(lows) > 1e-8 * scale)[-1]
-        shift = float(lows[last] + lows[last + 1]) / 2.0
+        shift = _gap_middle(lows, clear_gaps(lows, scale)[-1])[0]
     meta = {"tol": tol, "complete_below": bound, "inertia_source": "merged",
             "inertia_shift": shift, "inertia_count": int((complete < shift).sum()),
             "pencil_residuals": pencil}

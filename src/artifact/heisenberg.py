@@ -43,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import (CertificationError, inertia_count, merged_eigenpairs,
+from .eigensolve import (CertificationError, count_shift, inertia_count, merged_eigenpairs,
                          smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
@@ -288,23 +288,6 @@ def _mode_lifts(grid, vecs, v):
     return lift(np.real), lift(np.imag)
 
 
-def _count_shift(values, bound, k):
-    """Shift B at which the later modes are counted, and a quarter of its
-    gap as the step for moving it up: the middle of the first clear gap
-    (wider than 1e-8 of the scale) at or past the k-th lowest of the
-    ``values`` below ``bound``, followed by ``bound`` itself; ``bound``
-    when no such gap lies below it.  So B is at or above the k-th lowest
-    value whenever that is at or below ``bound``."""
-    edge = np.append(np.sort(values[values < bound]), bound)
-    scale = max(abs(bound), float(edge[-1] - edge[0]), 1.0)
-    gaps = np.diff(edge[k - 1:])
-    clear = np.flatnonzero(gaps > 1e-8 * scale)
-    if clear.size == 0:
-        return bound, 1e-7 * scale
-    i = k - 1 + clear[0]
-    return float(edge[i] + edge[i + 1]) / 2.0, float(gaps[clear[0]]) / 4.0
-
-
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
@@ -323,15 +306,16 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     (``_mode_lifts``): these are the two subspaces each mode passes to
     ``merged_eigenpairs``, with the mode's top, at or below every value
     the mode did not return.  The first mode is solved for ceil(k/2)
-    pairs, with its top at its last value.  Every later mode is first
-    counted below a running shift B by one inertia factorization
-    (``inertia_count``): with no value there it is not solved and passes
-    an empty part with top B; with nu values it is solved, with its own
-    inertia check, for min(nu, ceil(k/2)) pairs, and its top is B when
-    that is all of them, its last value otherwise.  After the first
-    mode, and after each later solve, B is placed by ``_count_shift``
-    in the first clear gap past the k-th lowest value below the
-    smallest top, or at that top when there is none.  The invariant is
+    pairs, with its top at the solve's ``complete_below``, its last
+    value.  Every later mode is first counted below a running shift B
+    by one inertia factorization (``inertia_count``): with no value
+    there it is not solved and passes an empty part with top B; with nu
+    values it is solved, with its own inertia check, for
+    min(nu, ceil(k/2)) pairs, and its top is B when that is all of them,
+    the solve's ``complete_below`` otherwise.  After the first mode, and
+    after each later solve, B is placed by ``eigensolve.count_shift`` in
+    the first clear gap past the k-th lowest value below the smallest
+    top, or at that top when there is none.  The invariant is
     that the k-th lowest computed value is at or below every top: B is
     at or above it, a mode with more than ceil(k/2) values below B
     brings k values (each doubled) at or below its own top, and more
@@ -366,14 +350,14 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
         if pairs:
             res = smallest_eigenpairs(op, None, k=pairs, tol=tol, seed=seed, definite=True)
             values, mode_vecs, meta = res.eigenvalues, res.eigenvectors, res.meta
-            top = float(values[-1]) if top is None else top
+            top = meta["complete_below"] if top is None else top
         else:
             values, mode_vecs = np.empty(0), np.empty((op.shape[0], 0))
         parts += [(values, top, lift) for lift in _mode_lifts(grid, mode_vecs, v)]
         modes.append({**meta, "mu": float(mu_j), "dim": op.shape[0], "pairs": pairs})
         if pairs:
             union = np.concatenate([part[0] for part in parts])
-            shift, step = _count_shift(union, min(part[1] for part in parts), k)
+            shift, step = count_shift(union, min(part[1] for part in parts), k)
     result = merged_eigenpairs(lap, None, parts, k, tol)
     if result is None:
         bound = min(part[1] for part in parts)

@@ -189,6 +189,32 @@ def test_j_max_refused_before_solving(monkeypatch, capsys, argv):
     assert "j_max must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--mesh", "icosphere7", "--suite", "dirichlet"], "'closed' suite"),
+    (["audit", "--mesh", "clifford255", "--suite", "closed"], "no half-size coarsening"),
+    (["audit", "--mesh", "square63", "--suite", "dirichlet"], "no half-size coarsening"),
+])
+def test_audit_arguments_refused_before_any_mesh_is_built(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(artifact.cli, "generate",
+                        lambda *a, **kw: pytest.fail("built a mesh for a refused audit"))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_audit_reads_the_ambient_space_from_the_fixture(monkeypatch, tmp_path):
+    # a cap is audited as a domain in the sphere, a square as a flat one
+    seen = []
+    monkeypatch.setattr(artifact.cli, "audit_dirichlet",
+                        lambda *a, ambient, **kw: seen.append(ambient) or [])
+    for mesh in ("cap3", "square16"):
+        assert main(["audit", "--mesh", mesh, "--suite", "dirichlet", "--j-max", "2",
+                     "--out", str(tmp_path / f"{mesh}.json")]) == 0
+    assert seen == ["sphere", "flat"]
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--mesh", "square16", "--suite", "dirichlet", "--ambient", "sphere"])
+    assert exc.value.code == 1
+
+
 def test_lemma_check_payload(tmp_path):
     out = tmp_path / "lemma.json"
     code = main(["lemma-check", "--trials", "60", "--degenerate-trials", "12",
@@ -233,3 +259,20 @@ def test_version_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "artifact" in capsys.readouterr().out
+
+
+def test_lemma_check_coupling_violation_exits_1_without_report(monkeypatch, tmp_path, capsys):
+    # an eigenbasis that leaves an eigenspace fails the trials' own
+    # certificate: a runtime error, not an identity failure (exit 2)
+    eigh = np.linalg.eigh
+
+    def mixed(mat):
+        vals, vecs = eigh(mat)
+        return vals, vecs + 1e-3 * np.roll(vecs, 1, axis=-1)
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    out = tmp_path / "lemma.json"
+    assert main(["lemma-check", "--trials", "0", "--degenerate-trials", "20",
+                 "--dim-min", "4", "--dim-max", "12", "--out", str(out)]) == 1
+    assert "leaves an eigenspace" in capsys.readouterr().err
+    assert not out.exists()

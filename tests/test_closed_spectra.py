@@ -151,7 +151,7 @@ def test_short_union_widens_once(monkeypatch, sphere2):
     direct = solve_pair(hodge_laplacian(sphere2, 1), k=4).eigenvalues
     assert np.abs(spectra[1].eigenvalues - direct).max() < 1e-12 * direct.max()
 
-    monkeypatch.setattr(artifact.audit, "_widened", lambda k, dim: k // 2)
+    monkeypatch.setattr(artifact.audit, "max_pairs", lambda dim: 4)  # 2k // 2 at k = 4
     with pytest.raises(CertificationError, match="completeness bound"):
         closed_spectra(sphere2, k=4)
 

@@ -155,7 +155,7 @@ def test_dual_graph_p2_matches_star2_oracle(refinement):
     assert rel.max() < 1e-12
     fa = mesh.face_areas
     y, x = new.eigenvectors, mesh.dec.star2.diag[:, None] * old.eigenvectors
-    clusters = cluster_slices(lam, 1e-8 * lam[-1])[:-1]
+    clusters = cluster_slices(lam, lam[-1])[:-1]
     assert clusters[0] == slice(0, 1)
     for cl in clusters:
         span = y[:, cl] @ (y[:, cl].T @ (fa[:, None] * x[:, cl]))

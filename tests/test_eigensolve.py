@@ -14,7 +14,7 @@ from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
                                  _certify_orthonormal, _certify_residuals,
                                  _factor_symmetric, _gap_shift, _solve_dense,
-                                 _verify_inertia, inertia_count,
+                                 _verify_inertia, count_shift, inertia_count,
                                  merged_eigenpairs, smallest_eigenpairs, solve_pair)
 from artifact.mesh import icosphere
 
@@ -475,3 +475,86 @@ def test_dense_path_matches_reference(dim, data_seed):
     scale = max(np.abs(ref).max(), 1.0)
     assert np.abs(vals - ref).max() < 1e-9 * scale
     assert residuals.max() <= 1e-8
+
+
+def test_count_shift_takes_the_first_clear_gap_past_k():
+    # unlike _gap_shift, which takes the widest (3 .. 7 here), the count
+    # shift keeps to the first clear gap at or past the k-th value below
+    # the bound; values above the bound are not read
+    vals = np.array([7.0, 1.0, 2.0 + 1e-7, 2.0, 3.0, 11.0])
+    edge = np.array([1.0, 2.0, 2.0 + 1e-7, 3.0, 7.0, 9.0])
+    assert count_shift(vals, 9.0, 2) == (float(edge[1] + edge[2]) / 2.0,
+                                         float(edge[2] - edge[1]) / 4.0)
+    assert _gap_shift(edge, 2) == (5.0, 1.0)
+    # no clear gap at or past the k-th value: the bound itself
+    assert count_shift(np.array([1.0, 2.0]), 2.0 + 1e-9, 2) == (2.0 + 1e-9, 1e-7 * (2.0 + 1e-9))
+
+
+def test_every_solve_records_its_completeness_bound():
+    whole = smallest_eigenpairs(dirichlet_chain(10), k=10)
+    assert whole.meta["complete_below"] == np.inf
+    for res in (smallest_eigenpairs(dirichlet_chain(10), k=4),
+                smallest_eigenpairs(dirichlet_chain(100), k=6, definite=True)):
+        assert res.meta["complete_below"] == res.eigenvalues[-1]
+        assert type(res.meta["complete_below"]) is float
+
+
+def _failing_factorization(monkeypatch, fails):
+    """Make the first ``fails`` factorizations raise as SuperLU does on an
+    exactly singular matrix; returns the list of factored matrices."""
+    calls = []
+    factor = eigensolve._factor_symmetric
+
+    def failing(k_csc):
+        calls.append(k_csc)
+        if len(calls) <= fails:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(k_csc)
+
+    monkeypatch.setattr(eigensolve, "_factor_symmetric", failing)
+    return calls
+
+
+def test_factorization_failure_moves_the_shift(monkeypatch):
+    # one failure: sigma moves from -1e-6 to -1e-5 trace(A)/dim and the
+    # solve certifies as usual
+    n, k = 100, 6
+    a = dirichlet_chain(n)
+    calls = _failing_factorization(monkeypatch, 1)
+    res = smallest_eigenpairs(a, k=k)
+    assert res.meta["retries"] == 1
+    assert res.meta["sigma"] == pytest.approx(-1e-5 * float(a.diagonal().sum()) / n, rel=1e-14)
+    assert res.meta["inertia_checked"]
+    assert len(calls) == 3  # the failure, the shift factorization, the inertia count
+    exact = chain_oracle(n, k)
+    assert np.abs(res.eigenvalues - exact).max() < 1e-9 * exact[-1]
+
+
+def test_factorization_failing_at_every_shift_raises(monkeypatch):
+    calls = _failing_factorization(monkeypatch, np.inf)
+    with pytest.raises(EigensolveError, match="after 3 shift retries"):
+        smallest_eigenpairs(dirichlet_chain(100), k=6)
+    assert len(calls) == 4
+
+
+def test_one_clear_gap_rule_one_pair_limit():
+    # Only eigensolve decides where one computed eigenvalue ends and the
+    # next begins: the threshold 1e-8 * scale is written in clear_gaps
+    # alone.  dec's Hodge-star clamp, eps = 1e-8 * (mean ratio), is
+    # another rule.  heisenberg takes no gaps of its own, and audit caps
+    # k through max_pairs, not through the dense cutoff.
+    owners = set()
+    for path in sorted((SRC / "artifact").glob("*.py")):
+        text = path.read_text()
+        funcs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
+        for no, line in enumerate(text.splitlines(), 1):
+            if "1e-8 *" in line:
+                inner = [f for f in funcs if f.lineno <= no <= f.end_lineno]
+                owners.add((path.stem, min(inner, key=lambda f: f.end_lineno - f.lineno).name
+                            if inner else None))
+    assert owners == {("eigensolve", "clear_gaps"), ("dec", "hodge_star")}
+    heis = ast.parse((SRC / "artifact" / "heisenberg.py").read_text())
+    assert not [n for n in ast.walk(heis) if isinstance(n, ast.Attribute) and n.attr == "diff"]
+    audit = ast.parse((SRC / "artifact" / "audit.py").read_text())
+    assert "DENSE_CUTOFF" not in {alias.name for n in ast.walk(audit)
+                                  if isinstance(n, ast.ImportFrom) for alias in n.names}
