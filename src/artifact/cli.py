@@ -17,12 +17,15 @@ fixture: a cap is audited as a domain in the round sphere, a square as
 a flat domain.
 
 ``SPECTRA_THREADS`` in the environment caps the linear algebra thread
-pools (the package honors it on first import).
+pools (the package honors it on first import).  ``main`` fixes glibc's
+mmap and trim thresholds, so that the peak memory of a run does not
+depend on how the heap happened to be laid out.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -330,6 +333,22 @@ def _build_parser():
 
 
 def main(argv=None):
+    # Left dynamic, glibc's mmap threshold rises to the size of every large
+    # block freed (up to 32 MiB), so later factors, Krylov bases and
+    # eigenvector blocks are carved from the brk heap, and whether their
+    # pages go back to the system when freed hangs on which small objects
+    # sit above them: the peak resident size of one icosphere5 audit took
+    # either of two values 16 MB apart between runs of the same command.
+    # Fixed thresholds make where a block lives depend on its size alone.
+    # M_MMAP_THRESHOLD (-3): blocks of 2 MiB and more (factor, Krylov and
+    # eigenvector arrays) are mappings of their own, unmapped when freed.
+    # M_TRIM_THRESHOLD (-1): the heap keeps up to 32 MiB of free top (the
+    # dynamic rule keeps up to 64 MiB), so the smaller blocks, Lanczos
+    # vectors among them, are reused rather than faulted in afresh each
+    # time.  ctypes.pythonapi looks the name up among all the process's
+    # symbols; without glibc there may be no mallopt, and nothing to do.
+    for param, value in ((-3, 2 << 20), (-1, 32 << 20)):
+        getattr(ctypes.pythonapi, "mallopt", lambda *_: 0)(param, value)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -225,7 +225,6 @@ def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     retries = 0
-    lu = None
     while True:
         shifted = a - sigma * sp.diags(m_diag) if sigma != 0.0 else a
         try:

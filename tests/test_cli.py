@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -276,3 +277,16 @@ def test_lemma_check_coupling_violation_exits_1_without_report(monkeypatch, tmp_
                  "--dim-min", "4", "--dim-max", "12", "--out", str(out)]) == 1
     assert "leaves an eigenspace" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("with_mallopt", [True, False])
+def test_main_fixes_the_malloc_thresholds_where_there_is_mallopt(monkeypatch, with_mallopt):
+    # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) are fixed
+    # before the command runs; a process without mallopt runs it all the same
+    calls = []
+    api = SimpleNamespace(mallopt=lambda *args: calls.append(args)) if with_mallopt \
+        else SimpleNamespace()
+    monkeypatch.setattr(artifact.cli.ctypes, "pythonapi", api)
+    assert main(["mesh", "gen", "--shape", "icosphere",
+                 "--params", "radius=abc", "--out", "/dev/null"]) == 1
+    assert calls == ([(-3, 2 << 20), (-1, 32 << 20)] if with_mallopt else [])
