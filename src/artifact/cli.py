@@ -36,7 +36,7 @@ from .audit import (AUDIT_TOL, M_DIM, _check_j_max, audit_closed, audit_dirichle
                     audit_kohn, closed_spectra, discretization_allowance, emit_report)
 from .commutator import ORTHOGONALITY_REL, run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import solve_pair
+from .eigensolve import max_pairs, solve_pair
 from .heisenberg import heisenberg_grid, kohn_spectrum
 from .mesh import generate, load_mesh, save_mesh
 
@@ -90,6 +90,23 @@ def _coarser_level(family, level):
     if coarse < 1:
         raise ValueError(f"{family}{level} is too coarse for a Richardson comparison")
     return coarse
+
+
+def _check_pencil_sizes(family, levels, meshes, suite, k):
+    """Refuse, before anything is solved, a Richardson level whose pencils
+    give fewer than k pairs (``max_pairs``): the Dirichlet pencil has a
+    row per interior vertex, the closed p = 0 and p = 2 pencils one per
+    vertex and per face."""
+    for role, level, mesh in zip(("fine", "coarse"), levels, meshes):
+        if suite == "dirichlet":
+            dims = {"interior vertices": int((~mesh.boundary_vertex).sum())}
+        else:
+            dims = {"vertices": mesh.num_vertices, "faces": mesh.num_faces}
+        for rows, dim in dims.items():
+            if max_pairs(dim) < k:
+                raise ValueError(f"{role} level {family}{level} has {dim} {rows}: its pencil "
+                                 f"gives at most {max_pairs(dim)} eigenpairs, fewer than "
+                                 f"k={k}")
 
 
 def _load_potential(path, mesh):
@@ -190,6 +207,7 @@ def _cmd_audit(args):
     levels = (level, _coarser_level(family, level))  # refused before any mesh is built
     mesh, coarse_mesh = (_build_fixture(family, lv)[0] for lv in levels)
     k = args.j_max + M_DIM
+    _check_pencil_sizes(family, levels, (mesh, coarse_mesh), suite, k)
 
     if suite == "closed":
         spectra = closed_spectra(mesh, k, tol=args.tol, seed=args.seed)

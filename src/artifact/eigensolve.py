@@ -10,9 +10,10 @@ inertia of (A - lambda' M) from a no-pivot symmetric LDU factorization,
 which guards against silently missed members of clusters.
 ``inertia_count`` is that count, for any shift: callers use it to find
 which parts of a spectrum have values below a bound before solving them.
-``merged_eigenpairs`` assembles the k lowest pairs of a pencil from
-certified solves of its invariant subspaces and certifies them the same
-way, without factoring the pencil.
+``merged_selection`` picks the k lowest values of a pencil from
+certified solves of its invariant subspaces and says below what shift
+they are complete, without factoring the pencil; ``merged_eigenpairs``
+lifts the picked pairs and certifies them the same way on the pencil.
 
 This module alone decides four things about a computed spectrum:
 where one eigenvalue ends and the next begins (``clear_gaps``: a step
@@ -35,8 +36,8 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
-           "smallest_eigenpairs", "merged_eigenpairs", "inertia_count", "solve_pair",
-           "clear_gaps", "count_shift", "max_pairs"]
+           "smallest_eigenpairs", "merged_selection", "merged_eigenpairs", "inertia_count",
+           "solve_pair", "clear_gaps", "count_shift", "max_pairs"]
 
 DENSE_CUTOFF = 64
 
@@ -53,10 +54,12 @@ class CertificationError(EigensolveError):
 class SpectrumResult:
     """Ascending eigenvalues (multiplicity counted, indexed from 1 in the
     reports), M-orthonormal eigenvectors as columns, per-pair relative
-    residuals, and the number of eigenvalues below the kernel threshold."""
+    residuals, and the number of eigenvalues below the kernel threshold.
+    ``eigenvectors`` is None where the vectors are not formed: the Kohn
+    spectrum keeps its mode vectors in ``meta`` (``kohn_spectrum``)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     residuals: np.ndarray
     zero_count: int
     meta: dict = field(default_factory=dict)
@@ -131,7 +134,8 @@ def max_pairs(dim):
     return dim if dim <= DENSE_CUTOFF else dim - 2
 
 
-def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
+def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
+                        inertia=None):
     """k smallest eigenpairs of A x = lambda M x with certificates.
 
     Parameters
@@ -153,6 +157,13 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
         factorized directly (Dirichlet problems); otherwise
         sigma = -1e-6 trace(A)/dim keeps the factorization away from a
         possible kernel.
+    inertia : tuple or None
+        ``(count, shift, nnz)`` as returned by ``inertia_count`` for this
+        pencil, with count = k: the caller's count then certifies the
+        solve in place of its own inertia factorization.  Exactly k
+        computed values must lie below ``shift``; otherwise the solve is
+        retried once with a deeper Krylov space, and a second mismatch
+        raises ``CertificationError``.
 
     A must be positive semi-definite: lambda_1 < -1e-9 ||A||_inf raises
     CertificationError.
@@ -166,7 +177,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
         ``sigma``, the inertia shift and count, and ``factor_nnz`` and
         ``inertia_nnz``: the entries SuperLU stores for the shift
         factorization and for the inertia factorization that certified
-        the result.
+        the result (the caller's, when ``inertia`` is given).
     """
     a = sp.csr_matrix(a)
     dim = a.shape[0]
@@ -177,12 +188,17 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
                          f"dimension {dim} returns")
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
+    if inertia is not None and inertia[0] != k:
+        raise ValueError(f"an inertia count certifies k={k} pairs only when it counts k "
+                         f"values, got {inertia[0]}")
     m_op, m_diag = _mass_matrix(mass, dim)
 
     if dim <= DENSE_CUTOFF:
         vals, vecs, meta = _solve_dense(a, m_diag, k)
         vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
         residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
+        if inertia is not None:
+            meta.update(_check_count(vals, *inertia))
     else:
         # When the inertia count shows that a tight cluster lost a member
         # to the Lanczos iteration (typical for exactly doubled spectra),
@@ -192,7 +208,8 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False):
             vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
             residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
             try:
-                meta.update(_verify_inertia(a, mass, vals, k))
+                meta.update(_verify_inertia(a, mass, vals, k) if inertia is None
+                            else _check_count(vals, *inertia))
                 break
             except CertificationError:
                 if extra:
@@ -382,7 +399,14 @@ def _verify_inertia(a, m, vals, k):
     below it unless the iteration actually missed one -- which is
     exactly what the count detects.
     """
-    negative, lam, nnz = inertia_count(a, m, *_gap_shift(vals, k))
+    return _check_count(vals, *inertia_count(a, m, *_gap_shift(vals, k)))
+
+
+def _check_count(vals, negative, lam, nnz):
+    """The inertia ``meta`` of a solve whose computed ``vals`` hold exactly
+    the count ``negative`` of pencil eigenvalues below ``lam``, from a
+    factorization that stored ``nnz`` entries; ``CertificationError``
+    when they do not."""
     expected = int((vals < lam).sum())
     if negative != expected:
         raise CertificationError(
@@ -392,21 +416,22 @@ def _verify_inertia(a, m, vals, k):
             "inertia_shift": lam, "inertia_nnz": nnz}
 
 
-def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
-    """The k lowest pairs of A x = lambda M x from solves of invariant subspaces.
+def merged_selection(values, tops, k):
+    """The k lowest values of a pencil from solves of its invariant subspaces.
 
-    ``parts`` holds one ``(values, top, lift)`` per subspace: its
-    ascending computed values; ``top``, at or below every value its
+    ``values`` holds one array of ascending computed values per subspace
+    and ``tops`` one bound per subspace, at or below every value its
     solve did not compute (``inf`` when the solve returned the whole
-    subspace spectrum); and ``lift``, which maps an index array,
-    possibly empty, to the full-space vectors of those values as
-    columns.  No uncomputed value lies below the smallest top, so when
-    the k-th lowest value of the union is at or below it the k lowest
-    values are the pencil's k lowest; otherwise returns None.  Only the
-    chosen columns are lifted, and the k pairs are re-certified
-    (M-orthonormality and residuals) on (A, M).
+    subspace spectrum).  No uncomputed value lies below the smallest
+    top, so when the k-th lowest value of the union is at or below it
+    the k lowest values of the union are the pencil's k lowest;
+    otherwise returns None.
 
-    ``meta`` holds ``complete_below`` (the smallest top) and the count
+    Returns ``(pick, result)``: ``pick`` indexes the k lowest in the
+    concatenated ``values``, ascending by value, and ``result`` is a
+    ``SpectrumResult`` of those values with their ``zero_count``, whose
+    ``eigenvectors`` and ``residuals`` the caller sets.  Its ``meta``
+    holds ``complete_below`` (the smallest top) and the count
     ``inertia_count`` of pencil eigenvalues below ``inertia_shift``,
     placed where ``_verify_inertia`` would put it for the union values
     strictly below the bound followed by the bound itself.  When that
@@ -415,26 +440,17 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     the bound, so that it keeps clear of every computed eigenvalue: two
     values a rounding error apart may be one eigenvalue computed twice,
     and a shift between them would count it on one side in the merge
-    and on the other in a factorization of the pencil.  Nothing is factored here: the count is read off the
-    merged values (``inertia_source: "merged"``), and rests on the
-    inertia checks or counts of the parts.
+    and on the other in a factorization of the pencil.  Nothing is
+    factored here: the count is read off the merged values
+    (``inertia_source: "merged"``), and rests on the inertia checks or
+    counts of the parts.
     """
-    m_diag = _mass_matrix(mass, a.shape[0])[1]
-    values, tops, lifts = zip(*parts)
     union = np.concatenate(values)
     bound = min(tops)
     order = np.argsort(union, kind="stable")
     ranked = union[order]
     if len(union) < k or ranked[k - 1] > bound:
         return None
-    pick = order[:k]
-    chosen = np.sort(pick)
-    starts = np.cumsum([0, *map(len, values)])
-    vecs = np.hstack([lift(chosen[(chosen >= lo) & (chosen < hi)] - lo)
-                      for lift, lo, hi in zip(lifts, starts[:-1], starts[1:])])
-    vecs = vecs[:, np.searchsorted(chosen, pick)]
-    vals, vecs = _certify_orthonormal(ranked[:k], vecs, m_diag)
-    residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
     complete = ranked[ranked < bound]
     edge = complete if np.isinf(bound) else np.append(complete, bound)
     shift = _gap_shift(edge, k)[0]
@@ -443,10 +459,40 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
         scale = _shift_scale(edge)
         lows = np.insert(edge, 0, edge[0] - scale)
         shift = _gap_middle(lows, clear_gaps(lows, scale)[-1])[0]
-    meta = {"tol": tol, "complete_below": bound, "inertia_source": "merged",
-            "inertia_shift": shift, "inertia_count": int((complete < shift).sum()),
-            "pencil_residuals": pencil}
-    return SpectrumResult(vals, vecs, residuals, _zero_count(vals), meta)
+    vals = ranked[:k]
+    meta = {"complete_below": bound, "inertia_source": "merged",
+            "inertia_shift": shift, "inertia_count": int((complete < shift).sum())}
+    return order[:k], SpectrumResult(vals, None, None, _zero_count(vals), meta)
+
+
+def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
+    """The k lowest pairs of A x = lambda M x from solves of invariant subspaces.
+
+    ``parts`` holds one ``(values, top, lift)`` per subspace: its
+    ascending computed values and ``top`` as for ``merged_selection``,
+    which picks the k lowest values, and ``lift``, which maps an index
+    array, possibly empty, to the full-space vectors of those values as
+    columns.  Returns None when the selection is incomplete.  Only the
+    chosen columns are lifted, and the k pairs are re-certified
+    (M-orthonormality and residuals) on (A, M); ``meta`` is the
+    selection's, with ``tol`` and ``pencil_residuals``.
+    """
+    m_diag = _mass_matrix(mass, a.shape[0])[1]
+    values, tops, lifts = zip(*parts)
+    selection = merged_selection(values, tops, k)
+    if selection is None:
+        return None
+    pick, result = selection
+    chosen = np.sort(pick)
+    starts = np.cumsum([0, *map(len, values)])
+    vecs = np.hstack([lift(chosen[(chosen >= lo) & (chosen < hi)] - lo)
+                      for lift, lo, hi in zip(lifts, starts[:-1], starts[1:])])
+    vecs = vecs[:, np.searchsorted(chosen, pick)]
+    result.eigenvectors = _certify_orthonormal(result.eigenvalues, vecs, m_diag)[1]
+    result.residuals, pencil = _certify_residuals(a, m_diag, result.eigenvalues,
+                                                  result.eigenvectors, tol)
+    result.meta.update(tol=tol, pencil_residuals=pencil)
+    return result
 
 
 def solve_pair(pair, k, tol=1e-8, seed=42):

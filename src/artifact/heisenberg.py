@@ -30,7 +30,8 @@ Thangavelu, *Harmonic Analysis on the Heisenberg Group*, 1998).
 of each positive frequency below a running bound with one inertia
 factorization (spectrum slicing: Grimes, Lewis and Simon, SIAM J.
 Matrix Anal. Appl. 15, 1994), and solves only the modes with values
-there.
+there.  It assembles no L and forms no vector on the full grid;
+``build_kohn_laplacian`` is the reference that the tests check it on.
 The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
@@ -43,7 +44,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import (CertificationError, count_shift, inertia_count, merged_eigenpairs,
+from .eigensolve import (CertificationError, count_shift, inertia_count, merged_selection,
                          smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
@@ -268,26 +269,6 @@ def _mode_operators(grid, mu, pieces):
     return [(s + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
 
 
-def _mode_lifts(grid, vecs, v):
-    """Lifts of real mode vectors (a, b) to eigenvectors of L: the real
-    and imaginary parts of z (x) v, t the fastest axis, with z = a + i b
-    on the nodes c of ``_x_pairs`` and a - i b on their images P_x c.
-    z is sqrt(2) times the mode vector in the (x, y) basis, which makes
-    both parts unit vectors."""
-    reps, partners = _x_pairs(grid)
-    half = len(reps)
-
-    def lift(part):
-        def cols(idx):
-            a, b = vecs[:half, idx], vecs[half:, idx]
-            z = np.empty((2 * half, len(idx)), dtype=complex)
-            z[reps], z[partners] = a + 1j * b, a - 1j * b
-            return part((z[:, None, :] * v[None, :, None]).reshape(len(z) * len(v), -1))
-        return cols
-
-    return lift(np.real), lift(np.imag)
-
-
 def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
@@ -298,71 +279,93 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     L_mu, with the same spectrum, and as m is even no mu_j is 0, so only
     the m/2 modes with mu_j > 0 are visited.  The basis is certified to
     rounding at run time (``CertificationError`` otherwise), with the
-    Weyl slack of ``_certify_t_modes``.
+    Weyl slack of ``_certify_t_modes``.  L itself is never assembled
+    (``build_kohn_laplacian`` is its public reference), and no vector
+    on the full grid is formed: memory is that of the m/2 mode operators
+    of size m^(2n) and their solves.
 
     Each mode is handled in its real symmetric form of size m^(2n), in
-    ascending mu.  A pair (a, b) of a mode solve gives two orthonormal
-    real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of its lift
-    (``_mode_lifts``): these are the two subspaces each mode passes to
-    ``merged_eigenpairs``, with the mode's top, at or below every value
-    the mode did not return.  The first mode is solved for ceil(k/2)
-    pairs, with its top at the solve's ``complete_below``, its last
-    value.  Every later mode is first counted below a running shift B
-    by one inertia factorization (``inertia_count``): with no value
-    there it is not solved and passes an empty part with top B; with nu
-    values it is solved, with its own inertia check, for
-    min(nu, ceil(k/2)) pairs, and its top is B when that is all of them,
-    the solve's ``complete_below`` otherwise.  After the first mode, and
-    after each later solve, B is placed by ``eigensolve.count_shift`` in
-    the first clear gap past the k-th lowest value below the smallest
-    top, or at that top when there is none.  The invariant is
-    that the k-th lowest computed value is at or below every top: B is
-    at or above it, a mode with more than ceil(k/2) values below B
-    brings k values (each doubled) at or below its own top, and more
-    values only lower the k-th.  So the merge, which takes the k lowest
-    pairs bounded by the smallest top and re-certifies them on L, is
-    always complete; if it is not, ``CertificationError`` names the
-    shortfall.
+    ascending mu.  A pair (a, b) of a mode solve stands for two
+    orthonormal real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of
+    z (x) v, t the fastest axis, with v the t-mode and z = a + i b on
+    the nodes c of ``_x_pairs`` and a - i b on their images P_x c: so
+    each mode passes its values twice to ``merged_selection``, with the
+    mode's top, at or below every value the mode did not return.  The
+    first mode is solved for ceil(k/2) pairs, with its top at the
+    solve's ``complete_below``, its last value.  Every later mode is
+    first counted below a running shift B by one inertia factorization
+    (``inertia_count``): with no value there it is not solved and
+    passes an empty part with top B; with nu values it is solved for
+    min(nu, ceil(k/2)) pairs, and its top is B when that is all of them
+    (the count then certifies the solve, in place of its own inertia
+    check), the solve's ``complete_below`` otherwise.  After the first
+    mode, and after each later solve, B is placed by
+    ``eigensolve.count_shift`` in the first clear gap past the k-th
+    lowest value below the smallest top, or at that top when there is
+    none.  The invariant is that the k-th lowest computed value is at or
+    below every top: B is at or above it, a mode with more than
+    ceil(k/2) values below B brings k values (each doubled) at or below
+    its own top, and more values only lower the k-th.  So the selection
+    of the k lowest values bounded by the smallest top is always
+    complete; if it is not, ``CertificationError`` names the shortfall.
 
-    ``meta`` holds ``method: "t-modes"``, ``modes`` (for each mode in
-    the order visited its ``mu``, ``dim`` and ``pairs``, the number of
-    pairs solved, with the solve's own ``meta``, or for a mode that was
-    not solved the count 0 below ``inertia_shift`` with its
+    ``eigenvectors`` is None.  Pair i is the Re part (``pair_imag[i]``
+    false) or the Im part of the lift of column i of
+    ``meta["mode_vectors"]`` (size m^(2n)) on t-mode
+    ``meta["pair_mode"][i]``, an index into ``meta["modes"]``; mode i
+    there is column m/2 - 1 - i of ``_t_modes``.  ``residuals`` holds
+    each pair's relative residual from its mode solve, shared by the Re
+    and Im parts, and ``meta["pencil_residuals"]`` the solve's
+    pencil-norm residual; with the t-basis certificate and its
+    ``weyl_slack`` they certify the pairs of L.
+
+    ``meta`` also holds ``method: "t-modes"``, ``modes`` (for each mode
+    in the order visited its ``mu``, ``dim`` and ``pairs``, the number
+    of pairs solved, with the solve's own ``meta``, or for a mode that
+    was not solved the count 0 below ``inertia_shift`` with its
     ``inertia_nnz``), ``weyl_slack`` (how far the eigenvalues of L may
     be from those of the modes, a few eps ||L||), ``complete_below``
     (the smallest mode top), and ``inertia_shift`` and
     ``inertia_count``: the count of L below that shift, read off the
     merged mode values below it.
     """
-    lap = build_kohn_laplacian(grid)
     mu, vecs = _t_modes(grid.g - 2, grid.spacings[-1])
     pieces = _mode_pieces(grid)
     slack = _certify_t_modes(grid, mu, vecs, pieces)
     half = (k + 1) // 2
-    parts, modes, shift = [], [], None
-    for mu_j, v, op in list(zip(mu, vecs.T, _mode_operators(grid, mu, pieces)))[::-1]:
-        pairs, top, meta = half, None, {}
+    values, tops, solves, modes = [], [], [], []
+    shift = None
+    for mu_j, op in list(zip(mu, _mode_operators(grid, mu, pieces)))[::-1]:
+        pairs, top, counted, res = half, None, None, None
         if shift is not None:
-            count, at, nnz = inertia_count(op, None, shift, step)
-            pairs, top = min(count, half), at if count <= half else None
-            meta = {"inertia_checked": True, "inertia_count": count,
-                    "inertia_shift": at, "inertia_nnz": nnz}
+            counted = inertia_count(op, None, shift, step)
+            pairs, top = min(counted[0], half), counted[1] if counted[0] <= half else None
         if pairs:
-            res = smallest_eigenpairs(op, None, k=pairs, tol=tol, seed=seed, definite=True)
-            values, mode_vecs, meta = res.eigenvalues, res.eigenvectors, res.meta
-            top = meta["complete_below"] if top is None else top
-        else:
-            values, mode_vecs = np.empty(0), np.empty((op.shape[0], 0))
-        parts += [(values, top, lift) for lift in _mode_lifts(grid, mode_vecs, v)]
+            res = smallest_eigenpairs(op, None, k=pairs, tol=tol, seed=seed, definite=True,
+                                      inertia=None if top is None else counted)
+            top = res.meta["complete_below"] if top is None else top
+        meta = res.meta if pairs else {"inertia_checked": True, "inertia_count": 0,
+                                       "inertia_shift": top, "inertia_nnz": counted[2]}
+        # each value twice: the Re and the Im part of its lift
+        values.append(np.repeat(res.eigenvalues, 2) if pairs else np.empty(0))
+        tops.append(top)
+        solves.append(res)
         modes.append({**meta, "mu": float(mu_j), "dim": op.shape[0], "pairs": pairs})
         if pairs:
-            union = np.concatenate([part[0] for part in parts])
-            shift, step = count_shift(union, min(part[1] for part in parts), k)
-    result = merged_eigenpairs(lap, None, parts, k, tol)
-    if result is None:
-        bound = min(part[1] for part in parts)
-        found = sum(int((part[0] <= bound).sum()) for part in parts)
+            shift, step = count_shift(np.concatenate(values), min(tops), k)
+    selection = merged_selection(values, tops, k)
+    if selection is None:
+        found = sum(int((part <= min(tops)).sum()) for part in values)
         raise CertificationError(f"mode solves give {found} of {k} values at or below "
-                                 f"their smallest top {bound!r}: the merge is incomplete")
-    result.meta.update(method="t-modes", seed=seed, modes=modes, weyl_slack=slack)
+                                 f"their smallest top {min(tops)!r}: the merge is incomplete")
+    pick, result = selection
+    mode = np.repeat(np.arange(len(values)), list(map(len, values)))[pick]
+    col = pick - np.cumsum([0, *map(len, values)])[mode]
+    chosen = [(solves[j], i // 2) for j, i in zip(mode, col)]
+    result.residuals = np.array([res.residuals[i] for res, i in chosen])
+    result.meta.update(
+        tol=tol, method="t-modes", seed=seed, modes=modes, weyl_slack=slack,
+        pencil_residuals=np.array([res.meta["pencil_residuals"][i] for res, i in chosen]),
+        pair_mode=mode, pair_imag=col % 2 == 1,
+        mode_vectors=np.column_stack([res.eigenvectors[:, i] for res, i in chosen]))
     return result

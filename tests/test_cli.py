@@ -202,6 +202,25 @@ def test_audit_arguments_refused_before_any_mesh_is_built(monkeypatch, capsys, a
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--mesh", "cap2", "--suite", "dirichlet", "--j-max", "4"],
+     "coarse level cap1 has 3 interior vertices: its pencil gives at most 3 eigenpairs, "
+     "fewer than k=6"),
+    (["audit", "--mesh", "square4", "--suite", "dirichlet", "--j-max", "20"],
+     "fine level square4 has 9 interior vertices: its pencil gives at most 9 eigenpairs, "
+     "fewer than k=22"),
+    (["audit", "--mesh", "icosphere2", "--suite", "closed", "--j-max", "45"],
+     "coarse level icosphere1 has 42 vertices: its pencil gives at most 42 eigenpairs, "
+     "fewer than k=47"),
+])
+def test_undersized_levels_refused_before_any_solve(monkeypatch, capsys, argv, message):
+    for name in ("solve_pair", "closed_spectra"):
+        monkeypatch.setattr(artifact.cli, name,
+                            lambda *a, **kw: pytest.fail("solved a pencil of a refused audit"))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_audit_reads_the_ambient_space_from_the_fixture(monkeypatch, tmp_path):
     # a cap is audited as a domain in the sphere, a square as a flat one
     seen = []

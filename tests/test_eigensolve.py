@@ -165,6 +165,48 @@ def test_retry_recovers_forced_cluster_miss(torus16, monkeypatch):
     assert retried.zero_count == first.zero_count == 2
 
 
+def test_caller_count_certifies_a_solve(monkeypatch):
+    # a count of k values below a shift, from the caller's own inertia
+    # factorization, stands in for the solve's: one factorization in all
+    a, k = dirichlet_chain(100), 3
+    exact = chain_oracle(100, 5)
+    calls = []
+    factor = eigensolve._factor_symmetric
+    monkeypatch.setattr(eigensolve, "_factor_symmetric",
+                        lambda k_csc: calls.append(k_csc) or factor(k_csc))
+    counted = (k, float(exact[2] + exact[3]) / 2.0, 1234)
+    res = smallest_eigenpairs(a, k=k, definite=True, inertia=counted)
+    assert len(calls) == 1 and "inertia_recovered" not in res.meta
+    assert (res.meta["inertia_count"], res.meta["inertia_shift"],
+            res.meta["inertia_nnz"]) == counted and res.meta["inertia_checked"]
+    assert np.abs(res.eigenvalues - exact[:3]).max() < 1e-10 * exact[2]
+    with pytest.raises(ValueError, match="counts k values"):
+        smallest_eigenpairs(a, k=2, definite=True, inertia=counted)
+
+
+def test_disagreeing_caller_count_is_retried_then_refused(monkeypatch):
+    # the count says 3 values lie below a shift that 4 computed values lie
+    # below: the deeper Krylov pass finds the same 4, and the solve is
+    # refused rather than certified by a count it contradicts
+    a, k = dirichlet_chain(100), 3
+    exact = chain_oracle(100, 5)
+    solve_arpack = eigensolve._solve_arpack
+    passes = []
+
+    def recording(*args):
+        passes.append(args[-1])
+        return solve_arpack(*args)
+
+    monkeypatch.setattr(eigensolve, "_solve_arpack", recording)
+    wrong = (k, float(exact[3] + exact[4]) / 2.0, 0)
+    with pytest.raises(CertificationError, match="inertia count 3 .* 4 computed"):
+        smallest_eigenpairs(a, k=k, definite=True, inertia=wrong)
+    assert passes == [0, 8]
+    # on the dense path the count is checked against the whole spectrum
+    with pytest.raises(CertificationError, match="missed"):
+        smallest_eigenpairs(dirichlet_chain(40), k=k, inertia=wrong)
+
+
 def test_factor_stores_no_padding():
     # With relaxed supernodes SuperLU stores 523 472 entries here for the
     # 165 062 of L and U.  The solve reports what its factorizations store.

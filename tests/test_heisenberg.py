@@ -1,16 +1,19 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kohn_modes import every_mode_spectrum
+from kohn_modes import every_mode_spectrum, lift_pairs
 from kohn_sectors import parity_blocks, sector_spectrum
 
 from artifact import heisenberg
 from artifact.audit import audit_kohn
-from artifact.eigensolve import CertificationError, _factor_symmetric, smallest_eigenpairs
+from artifact import eigensolve
+from artifact.eigensolve import (CertificationError, _certify_residuals, _factor_symmetric,
+                                 smallest_eigenpairs)
 from artifact.heisenberg import build_kohn_laplacian, heisenberg_grid, kohn_spectrum
 
 
@@ -362,8 +365,16 @@ def test_t_modes_match_sector_oracle(monkeypatch, g):
     assert res.eigenvalues[-1] <= meta["complete_below"]
     assert meta["inertia_shift"] < meta["complete_below"]
     assert 0.0 < meta["weyl_slack"] < 1e-10
-    assert res.eigenvectors.shape == (m ** 3, 12)
+    # no full-grid vector on the production path; the test-side lift of
+    # the mode vectors re-certifies the pairs on the assembled L
+    assert res.eigenvectors is None and meta["mode_vectors"].shape == (m * m, 12)
+    vecs = lift_pairs(grid, res)
+    assert vecs.shape == (m ** 3, 12)
     lap = build_kohn_laplacian(grid)
+    ones = np.ones(m ** 3)
+    assert np.abs(vecs.T @ vecs - np.eye(12)).max() < 1e-12
+    lifted = _certify_residuals(lap, ones, res.eigenvalues, vecs, 1e-12)[0]
+    assert np.abs(lifted - res.residuals).max() < 1e-15
     # Sylvester count of the full operator below the merged inertia shift
     lu = _factor_symmetric((lap - meta["inertia_shift"] * sp.identity(
         lap.shape[0], format="csr")).tocsc())
@@ -386,8 +397,61 @@ def test_slicing_matches_every_mode_oracle(g):
         assert res.zero_count == oracle.zero_count == 0
 
 
+def test_kohn_spectrum_bounds_working_memory():
+    # the production path holds the m/2 mode operators of size m^2 and
+    # their solves, never L or a vector on the 30^3 grid: 2.2 MiB at
+    # g = 32, against 15.5 MiB when L is assembled and the pairs lifted
+    grid = heisenberg_grid(1, 1.0, 1.0, 32)
+    kohn_spectrum(grid, k=12)
+    tracemalloc.start()
+    try:
+        res = kohn_spectrum(grid, k=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.eigenvalues) == 12 and res.eigenvectors is None
+    assert peak < 4 * 2**20
+
+
+def test_counts_certify_later_mode_solves(monkeypatch):
+    # a later mode with nu <= ceil(k/2) values below B is solved for nu
+    # pairs and certified by that count, not by an inertia factorization
+    # of its own: at g = 32, k = 12 modes 3 and 4 are, so the call
+    # factors 20 times (4 shift factorizations, 2 inertia checks of their
+    # own, 14 counts) where it factored 22
+    factors, counted = [], []
+    factor, count = eigensolve._factor_symmetric, heisenberg.inertia_count
+
+    def counting(k_csc):
+        factors.append(k_csc.shape[0])
+        return factor(k_csc)
+
+    def recording(a, mass, shift, step):
+        out = count(a, mass, shift, step)
+        counted.append(out)
+        return out
+
+    monkeypatch.setattr(eigensolve, "_factor_symmetric", counting)
+    monkeypatch.setattr(heisenberg, "inertia_count", recording)
+    res = kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 32), k=12)
+    modes = res.meta["modes"]
+    assert len(factors) == 20 and set(factors) == {900}
+    assert [mode["pairs"] for mode in modes[:4]] == [6, 6, 2, 1]
+    for mode, (nu, at, nnz) in zip(modes[1:], counted):
+        assert mode["inertia_checked"] and mode["inertia_count"] == nu
+        # modes 3 and 4 carry the count at B; mode 2 (nu > 6) its own check
+        assert (mode["inertia_shift"] == at) == (nu <= 6)
+        if 0 < nu <= 6:
+            assert mode["pairs"] == nu and mode["inertia_nnz"] == nnz
+            assert mode["complete_below"] < at
+        if nu == 0:
+            # an unsolved mode records the count alone, as before
+            assert mode == {"inertia_checked": True, "inertia_count": 0, "inertia_shift": at,
+                            "inertia_nnz": nnz, "mu": mode["mu"], "dim": 900, "pairs": 0}
+
+
 def test_incomplete_merge_is_refused(monkeypatch):
-    monkeypatch.setattr(heisenberg, "merged_eigenpairs", lambda *args: None)
+    monkeypatch.setattr(heisenberg, "merged_selection", lambda *args: None)
     with pytest.raises(CertificationError, match="incomplete"):
         kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 16), k=4)
 

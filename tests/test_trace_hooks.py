@@ -34,8 +34,9 @@ def test_every_traced_name_resolves(monkeypatch):
 
 def test_kohn_spectrum_calls_the_traced_names(monkeypatch):
     # the benchmark books Kohn assembly and every mode solve through
-    # these two module globals; a solve path that bypasses them would
-    # read 0 in its per-layer trace
+    # these two module globals; a solve path that bypasses the solve
+    # name would read 0 in its per-layer trace.  The production path
+    # assembles no L, so the assembly name is never called
     calls = {"build_kohn_laplacian": 0, "smallest_eigenpairs": 0}
 
     def counting(name):
@@ -53,4 +54,4 @@ def test_kohn_spectrum_calls_the_traced_names(monkeypatch):
     # one solve for each mode that records pairs; the first always does
     solved = sum(mode["pairs"] > 0 for mode in modes)
     assert len(modes) == (grid.g - 2) // 2 and modes[0]["pairs"] > 0
-    assert calls == {"build_kohn_laplacian": 1, "smallest_eigenpairs": solved}
+    assert calls == {"build_kohn_laplacian": 0, "smallest_eigenpairs": solved}
