@@ -21,9 +21,8 @@ del _os, _threads
 
 from .mesh import (MeshError, TriangleMesh, clifford_torus, flat_rectangle,
                    generate, geodesic_cap, icosphere, load_mesh, save_mesh)
-from .dec import (DecComplex, EigenproblemPair, HodgeStar, assert_symmetric,
-                  dirichlet_laplacian, exterior_derivative, hodge_laplacian,
-                  hodge_star)
+from .dec import (DecComplex, EigenproblemPair, assert_symmetric,
+                  dirichlet_laplacian, exterior_derivative, hodge_laplacian)
 from .eigensolve import (CertificationError, EigensolveError, SpectrumResult,
                          smallest_eigenpairs, solve_pair)
 from .curvature import (CurvatureData, PhiField, curvature_data,

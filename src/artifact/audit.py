@@ -126,11 +126,14 @@ def reconstruct_density(mesh, p, vec, face_mass=None):
     p = 1: per-face average of |w|^2 under Whitney interpolation of the
     edge coefficients.  p = 2: y^2 per face, for the dual-graph
     eigenvector y of ``hodge_laplacian``, which holds the pointwise
-    2-form value.
+    2-form value.  Cochains on the dual cells of ``mesh.dec`` are first
+    lifted onto every edge or face (``DecComplex.lifts``).
     The result is renormalized to unit total integral; the raw integral
     is returned as ``factor`` and must lie within DENSITY_FACTOR_RANGE.
     """
     vec = np.asarray(vec, dtype=float)
+    if p in mesh.dec.lifts:
+        vec = mesh.dec.lifts[p] @ vec
     va, fa = mesh.vertex_areas, mesh.face_areas
     if p == 0:
         raw = vec ** 2
@@ -302,7 +305,7 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
 
     def coexact(idx):
         return (c.d1.T @ spec2.eigenvectors[:, 1 + idx]) \
-            / (c.star1.diag[:, None] * np.sqrt(lam2[idx]))
+            / (c.star1[:, None] * np.sqrt(lam2[idx]))
 
     tops = [spec.meta["complete_below"] for spec in (spec0, spec2)]
     result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag,

@@ -96,12 +96,12 @@ def _check_pencil_sizes(family, levels, meshes, suite, k):
     """Refuse, before anything is solved, a Richardson level whose pencils
     give fewer than k pairs (``max_pairs``): the Dirichlet pencil has a
     row per interior vertex, the closed p = 0 and p = 2 pencils one per
-    vertex and per face."""
+    vertex and per dual cell of ``mesh.dec``."""
     for role, level, mesh in zip(("fine", "coarse"), levels, meshes):
         if suite == "dirichlet":
             dims = {"interior vertices": int((~mesh.boundary_vertex).sum())}
         else:
-            dims = {"vertices": mesh.num_vertices, "faces": mesh.num_faces}
+            dims = {"vertices": mesh.num_vertices, "dual cells": mesh.dec.cell_areas.size}
         for rows, dim in dims.items():
             if max_pairs(dim) < k:
                 raise ValueError(f"{role} level {family}{level} has {dim} {rows}: its pencil "

@@ -77,7 +77,7 @@ def mean_curvature_vector(mesh):
     with the positive-spectrum sign convention.  Values at boundary
     vertices are returned but are not meaningful.
     """
-    return (mesh.dec.stiffness0 @ mesh.vertices) / mesh.dec.star0.diag[:, None]
+    return (mesh.dec.stiffness0 @ mesh.vertices) / mesh.dec.star0[:, None]
 
 
 def gaussian_curvature(mesh):
@@ -91,7 +91,7 @@ def gaussian_curvature(mesh):
     # corner by corner, each in face order
     angles = np.bincount(mesh.faces.T.ravel(), np.arccos(np.clip(cos, -1.0, 1.0)).T.ravel(),
                          mesh.num_vertices)
-    return (2.0 * np.pi - angles) / mesh.dec.star0.diag
+    return (2.0 * np.pi - angles) / mesh.dec.star0
 
 
 def second_fundamental_norm(H_norm2, K):

@@ -2,18 +2,27 @@
 
 Exterior derivatives are signed incidence matrices; Hodge stars are
 diagonal (barycentric lumped areas for 0-forms, circumcentric
-dual/primal length ratios for 1-forms, inverse face areas for 2-forms).
-Laplacians are assembled in weak form as generalized pencils
+dual/primal length ratios for 1-forms, inverse dual-cell areas for
+2-forms).  Laplacians are assembled in weak form as generalized pencils
 A x = lambda M x with the geometer's sign convention (spectra >= 0).
 
 Each mesh owns one :class:`DecComplex` (``mesh.dec``), built on first
-use; every pencil and curvature field reads its operators from there.
+use; every pencil, curvature field and density reads its operators from
+there.  The complex lives on the circumcentric dual cells (Hirani,
+*Discrete Exterior Calculus*, 2003).  Two triangles that share a
+circumcentre, such as the two halves of a grid square, meet at an edge
+whose dual edge has length 0: its cotangent weight is exactly 0.  That
+edge is no 1-form unknown, so its row of d0 and its column of d1 are
+dropped, and the two triangles form one dual cell, one row of d1 with
+the sum of their areas.  star_1 holds the raw weights; no star is
+clamped.  A negative weight (a circumcentre beyond its triangle's edge)
+stays in the 0-form stiffness, which is PSD whatever the weights' signs,
+and is refused where star_1 is a mass or is inverted (p = 1, 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,24 +30,15 @@ import scipy.sparse as sp
 from .mesh import MeshError
 
 __all__ = [
-    "HodgeStar",
     "DecComplex",
     "EigenproblemPair",
     "exterior_derivative",
-    "hodge_star",
     "hodge_laplacian",
     "dirichlet_laplacian",
     "assert_symmetric",
 ]
 
 SYMMETRY_TOL = 1e-12
-
-
-class HodgeStar(NamedTuple):
-    """Diagonal Hodge star: ``diag`` entries plus the count of clamped edges."""
-
-    diag: np.ndarray
-    clamped: int
 
 
 @dataclass
@@ -49,7 +49,9 @@ class EigenproblemPair:
     Dirichlet problems the rows are the interior vertices only,
     ``interior_index_map`` maps retained rows back to mesh simplices, and
     ``potential`` is the read-only interior potential q_int assembled into
-    A (zeros without a potential); it is None for Hodge pencils.
+    A (zeros without a potential); it is None for Hodge pencils, whose
+    rows are the cochains of ``mesh.dec`` (vertices, kept edges, dual
+    cells).
     """
 
     stiffness: sp.csr_matrix
@@ -79,7 +81,9 @@ def _symmetrized(a):
 
 
 def exterior_derivative(mesh, p):
-    """Signed incidence matrix d_p: rows are (p+1)-simplices, columns p-simplices.
+    """Signed incidence matrix d_p of the triangle complex: rows are
+    (p+1)-simplices, columns p-simplices.  ``mesh.dec`` holds the same
+    operators on the circumcentric dual cells.
 
     d0 rows carry -1 at the edge tail (min vertex) and +1 at the head;
     d1 rows carry the face-versus-edge orientation signs.  d1 @ d0 = 0
@@ -114,55 +118,66 @@ def _cotangent_weights(mesh):
                        mesh.num_edges)
 
 
-def hodge_star(mesh, p):
-    """Diagonal Hodge star for p in {0, 1, 2}.
-
-    p = 0: lumped vertex areas.  p = 2: inverse face areas.  p = 1:
-    circumcentric dual/primal length ratio per edge; ratios that fail to
-    be positive (a circumcenter falling outside, or degenerately onto
-    the boundary of, its triangle) are clamped to
-    eps = 1e-8 * mean positive ratio, and the clamp count is reported.
-    """
-    if p == 0:
-        return HodgeStar(mesh.vertex_areas, 0)
-    if p == 2:
-        return HodgeStar(1.0 / mesh.face_areas, 0)
-    if p == 1:
-        w = _cotangent_weights(mesh)
-        eps = 1e-8 * float(np.maximum(w, 0.0).mean())
-        bad = w <= 0.0
-        w = np.where(bad, eps, w)
-        return HodgeStar(w, int(bad.sum()))
-    raise ValueError(f"hodge star defined for p in {{0, 1, 2}}, got {p}")
-
-
 @dataclass(frozen=True)
 class DecComplex:
-    """d0, d1, the three Hodge stars and the unsymmetrized 0-form stiffness
-    d0^T star_1 d0 of one mesh, read as ``mesh.dec``.  Every array is
-    read-only, so all consumers share one copy.
+    """The DEC complex of one mesh on its circumcentric dual cells, read
+    as ``mesh.dec``: d0 (kept edges x vertices) and d1 (dual cells x
+    kept edges) with d1 @ d0 = 0 exactly, the stars ``star0`` (lumped
+    vertex areas) and ``star1`` (the raw cotangent weight of each kept
+    edge), ``cell_areas`` (the area of each cell's one or two triangles)
+    and the unsymmetrized 0-form stiffness d0^T star_1 d0.  ``lifts``
+    maps a kept-edge (p = 1) or cell (p = 2) cochain back onto every
+    edge or face of the mesh; it is empty when no edge is dropped, since
+    the cochains then live on the mesh's own edges and faces.  Every
+    array is read-only, so all consumers share one copy.
     """
 
     d0: sp.csr_matrix
     d1: sp.csr_matrix
-    star0: HodgeStar
-    star1: HodgeStar
-    star2: HodgeStar
+    star0: np.ndarray
+    star1: np.ndarray
+    cell_areas: np.ndarray
     stiffness0: sp.spmatrix
+    lifts: dict
 
     @classmethod
     def of(cls, mesh):
         """Assemble the complex; ``mesh.dec`` calls this once per mesh."""
-        d0 = exterior_derivative(mesh, 0)
-        d1 = exterior_derivative(mesh, 1)
-        s0, s1, s2 = (hodge_star(mesh, p) for p in (0, 1, 2))
-        stiffness0 = d0.T @ sp.diags(s1.diag) @ d0
-        for m in (d0, d1, stiffness0):
-            for a in (m.data, m.indices, m.indptr):
-                a.setflags(write=False)
-        for s in (s0, s1, s2):
-            s.diag.setflags(write=False)
-        return cls(d0, d1, s0, s1, s2, stiffness0)
+        w, f = _cotangent_weights(mesh), mesh.num_faces
+        fe, signs = mesh.face_edges.ravel(), mesh.face_edge_signs.ravel().astype(np.float64)
+        seam = (w == 0.0) & (np.bincount(fe, minlength=mesh.num_edges) == 2)
+        # the two face sides on each seam, adjacent once sorted by edge; the
+        # lower face of the two leads their cell
+        sides = np.flatnonzero(seam[fe])
+        sides = sides[np.argsort(fe[sides], kind="stable")].reshape(-1, 2)
+        lead, other = sides.T // 3
+        if np.unique(sides // 3).size < sides.size:
+            raise MeshError("a dual cell of more than two triangles is not supported")
+        cells = np.arange(f)
+        cells[other] = lead
+        cells = np.unique(cells, return_inverse=True)[1]
+        live, index = ~seam[fe], np.cumsum(~seam) - 1
+        d0 = exterior_derivative(mesh, 0)[~seam]
+        d1 = sp.csr_matrix((signs[live], (np.repeat(cells, 3)[live], index[fe[live]])),
+                           shape=(cells.max() + 1, d0.shape[0]))
+        star1, cell_areas = w[~seam], np.bincount(cells, mesh.face_areas)
+        stiffness0 = d0.T @ sp.diags(star1) @ d0
+        lifts = {}
+        if len(sides):
+            # a seam's value x, with s its sign in the lead triangle, solves
+            # s x = share (r_lead + r_other) - r_lead, r being the kept part
+            # of a triangle's d1 x and share the lead's part of the cell's
+            # area: both triangles then carry the cell's d1 x / area
+            share = sp.diags(mesh.face_areas[lead] / cell_areas[cells[lead]])
+            seams = sp.diags(signs[sides[:, 0]]) @ (
+                share @ d1[cells[lead]] - exterior_derivative(mesh, 1)[lead][:, ~seam])
+            order = np.argsort(np.concatenate([np.flatnonzero(~seam), fe[sides[:, 0]]]))
+            lifts = {1: sp.vstack([sp.eye(star1.size), seams]).tocsr()[order],
+                     2: sp.csr_matrix((np.ones(f), (np.arange(f), cells)))}
+        mats = (d0, d1, stiffness0, *lifts.values())
+        for a in (star1, cell_areas, *(a for m in mats for a in (m.data, m.indices, m.indptr))):
+            a.setflags(write=False)
+        return cls(d0, d1, mesh.vertex_areas, star1, cell_areas, stiffness0, lifts)
 
 
 def hodge_laplacian(mesh, p):
@@ -172,36 +187,34 @@ def hodge_laplacian(mesh, p):
 
         p = 0:  A = d0^T star_1 d0,                                M = star_0
         p = 1:  A = d1^T star_2 d1 + star_1 d0 star_0^{-1} d0^T star_1,  M = star_1
-        p = 2:  A = d1 star_1^{-1} d1^T,                           M = diag(face areas)
+        p = 2:  A = d1 star_1^{-1} d1^T,                           M = diag(cell areas)
 
-    The p = 2 pencil is the dual-graph Laplacian: the weak form
+    on the cochains of ``mesh.dec``, with star_2 = 1 / cell area.  The
+    p = 2 pencil is the dual-graph Laplacian: the weak form
     (star_2 d1 star_1^{-1} d1^T star_2, star_2) congruent by star_2, with
     the same eigenvalues and entries in eigenvalue units.  Its
-    eigenvector y = star_2 v holds the pointwise 2-form value per face.
+    eigenvector y = star_2 v holds the pointwise 2-form value per cell.
+    p = 1 and p = 2 refuse a negative star_1 weight with ``MeshError``.
     """
     if not mesh.is_closed:
         raise MeshError("hodge_laplacian needs a closed mesh; use dirichlet_laplacian")
     if p not in (0, 1, 2):
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
     c = mesh.dec
+    negative = int((c.star1 < 0.0).sum())
+    if p and negative:
+        raise MeshError(f"{negative} edges have a negative dual length; the p={p} pencil "
+                        "weighs or inverts star_1 and needs it positive")
     if p == 0:
-        a = c.stiffness0
-        mass = c.star0.diag
-        n = mesh.num_vertices
+        a, mass = c.stiffness0, c.star0
     elif p == 1:
-        up = c.d1.T @ sp.diags(c.star2.diag) @ c.d1
-        half = sp.diags(c.star1.diag) @ c.d0
-        down = half @ sp.diags(1.0 / c.star0.diag) @ half.T
-        a = up + down
-        mass = c.star1.diag
-        n = mesh.num_edges
+        up = c.d1.T @ sp.diags(1.0 / c.cell_areas) @ c.d1
+        half = sp.diags(c.star1) @ c.d0
+        a, mass = up + half @ sp.diags(1.0 / c.star0) @ half.T, c.star1
     else:
-        a = c.d1 @ sp.diags(1.0 / c.star1.diag) @ c.d1.T
-        mass = mesh.face_areas
-        n = mesh.num_faces
+        a, mass = c.d1 @ sp.diags(1.0 / c.star1) @ c.d1.T, c.cell_areas
     assert_symmetric(a, what=f"hodge laplacian p={p}")
-    a = _symmetrized(a)
-    return EigenproblemPair(a, mass, p, False, np.arange(n), None)
+    return EigenproblemPair(_symmetrized(a), mass, p, False, np.arange(mass.size), None)
 
 
 def dirichlet_laplacian(mesh, potential=None):
@@ -222,7 +235,7 @@ def dirichlet_laplacian(mesh, potential=None):
     c = mesh.dec
     interior = np.nonzero(~mesh.boundary_vertex)[0]
     a = c.stiffness0[interior][:, interior]
-    mass = c.star0.diag[interior]
+    mass = c.star0[interior]
     q_int = q[interior]
     q_int.setflags(write=False)
     a = a + sp.diags(mass * q_int)

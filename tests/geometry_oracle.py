@@ -46,7 +46,7 @@ def gaussian_curvature(mesh):
         c = np.einsum("ij,ij->i", u1, u2) / np.sqrt(
             np.einsum("ij,ij->i", u1, u1) * np.einsum("ij,ij->i", u2, u2))
         np.add.at(angles, mesh.faces[:, corner], np.arccos(np.clip(c, -1.0, 1.0)))
-    return (2.0 * np.pi - angles) / mesh.dec.star0.diag
+    return (2.0 * np.pi - angles) / mesh.dec.star0
 
 
 def barycentric_gradients(mesh):

@@ -19,9 +19,10 @@ from artifact.dec import EigenproblemPair, _symmetrized
 
 def star2_pencil(mesh):
     c = mesh.dec
-    half = sp.diags(c.star2.diag) @ c.d1
-    a = _symmetrized(half @ sp.diags(1.0 / c.star1.diag) @ half.T)
-    return EigenproblemPair(a, c.star2.diag, 2, False, np.arange(mesh.num_faces), None)
+    star2 = 1.0 / c.cell_areas
+    half = sp.diags(star2) @ c.d1
+    a = _symmetrized(half @ sp.diags(1.0 / c.star1) @ half.T)
+    return EigenproblemPair(a, star2, 2, False, np.arange(star2.size), None)
 
 
 def star2_density(mesh, v):

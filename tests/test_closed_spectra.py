@@ -85,7 +85,7 @@ def test_coexact_map_of_dual_graph_pairs_certifies_on_p1(sphere3):
     pair1 = hodge_laplacian(sphere3, 1)
     c = sphere3.dec
     lam, y = spec2.eigenvalues[1:], spec2.eigenvectors[:, 1:]
-    w = (c.d1.T @ y) / (c.star1.diag[:, None] * np.sqrt(lam))
+    w = (c.d1.T @ y) / (c.star1[:, None] * np.sqrt(lam))
     gram = w.T @ (pair1.mass_diag[:, None] * w)
     assert np.abs(gram - np.eye(len(lam))).max() < 1e-10
     r = pair1.stiffness @ w - (pair1.mass_diag[:, None] * w) * lam
@@ -108,7 +108,9 @@ def test_sphere_factors_no_one_form_pencil(monkeypatch, sphere3):
 def test_torus_keeps_direct_one_form_solve(monkeypatch, torus16):
     dims = record_factor_dims(monkeypatch)
     spectra = closed_spectra(torus16, k=12)
-    assert torus16.num_edges in dims
+    # the p = 1 pencil has a row per kept edge: one diagonal per grid square drops
+    kept = torus16.dec.star1.size
+    assert kept == torus16.num_edges - torus16.num_vertices and kept in dims
     direct = solve_pair(hodge_laplacian(torus16, 1), k=12)
     assert np.array_equal(spectra[1].eigenvalues, direct.eigenvalues)
     assert spectra[1].zero_count == 2

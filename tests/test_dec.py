@@ -8,11 +8,13 @@ import scipy.sparse.linalg as spla
 
 import artifact.dec
 from artifact.audit import audit_closed, closed_spectra, reconstruct_density
-from artifact.dec import (EigenproblemPair, assert_symmetric,
+from artifact.dec import (EigenproblemPair, _cotangent_weights, assert_symmetric,
                           dirichlet_laplacian, exterior_derivative,
-                          hodge_laplacian, hodge_star)
+                          hodge_laplacian)
 from artifact.eigensolve import cluster_slices, solve_pair
-from artifact.mesh import MeshError, flat_rectangle, icosphere
+from artifact.mesh import (MeshError, TriangleMesh, clifford_torus, flat_rectangle,
+                           geodesic_cap, icosphere)
+from clamped_dec import clamped_pencil, clamped_stiffness0
 from star2_pencil import star2_density, star2_pencil
 
 
@@ -40,58 +42,148 @@ def test_d1_d0_zero_on_curved(sphere2):
 
 
 def test_star0_sums_to_area(sphere2):
-    s0 = hodge_star(sphere2, 0)
+    s0 = sphere2.dec.star0
     total = sphere2.total_area
-    assert abs(s0.diag.sum() - total) < 1e-12 * total
-    assert s0.clamped == 0
+    assert abs(s0.sum() - total) < 1e-12 * total
 
 
 def test_star2_inverse_face_areas(sphere2):
-    s2 = hodge_star(sphere2, 2)
-    assert np.abs(s2.diag * sphere2.face_areas - 1.0).max() < 1e-12
+    # no weight is 0 on an icosphere, so every dual cell is one face and
+    # star_2 = 1 / cell area is the inverse face area
+    c = sphere2.dec
+    assert np.abs(sphere2.face_areas / c.cell_areas - 1.0).max() < 1e-12
+    assert c.star1.size == sphere2.num_edges and not c.lifts
 
 
 def test_star1_flat_grid_cotangent_values(square16):
     """On a unit-square right-triangle grid the circumcentric edge weights
-    are 1 for interior axis-aligned edges and 0 for the diagonals (the
-    circumcenter sits on the hypotenuse midpoint); zeros are clamped to a
-    positive epsilon."""
-    s1 = hodge_star(square16, 1)
+    are 1 for interior axis-aligned edges and exactly 0 for the diagonals
+    (the circumcenter sits on the hypotenuse midpoint).  Each diagonal
+    leaves the complex, so star1 keeps the raw axis weights, and the two
+    triangles of each grid square form one dual cell."""
+    w = _cotangent_weights(square16)
     vecs = square16.vertices[square16.edges[:, 1]] - square16.vertices[square16.edges[:, 0]]
     diagonal = (np.abs(vecs[:, 0]) > 1e-12) & (np.abs(vecs[:, 1]) > 1e-12)
     interior_edge = ~(square16.boundary_vertex[square16.edges[:, 0]]
                       & square16.boundary_vertex[square16.edges[:, 1]])
-    eps = 1e-8 * np.maximum(s1.diag, 0.0).mean()
     axis_int = ~diagonal & interior_edge
-    assert np.abs(s1.diag[axis_int] - 1.0).max() < 1e-10
-    assert (s1.diag[diagonal] <= 2 * eps).all()
-    assert s1.clamped == int(diagonal.sum())
+    assert np.abs(w[axis_int] - 1.0).max() < 1e-10
+    assert (w[diagonal] == 0.0).all()
+    c = square16.dec
+    assert np.array_equal(c.star1, w[~diagonal])
+    assert c.cell_areas.size == 16 * 16 == int(diagonal.sum())
 
 
 def test_star1_positive_everywhere(sphere3, torus16):
     for mesh in (sphere3, torus16):
-        s1 = hodge_star(mesh, 1)
-        assert (s1.diag > 0).all()
-    assert hodge_star(sphere3, 1).clamped == 0
-    assert hodge_star(torus16, 1).clamped == torus16.num_vertices  # one diagonal per cell
+        assert (mesh.dec.star1 > 0).all()
+    assert sphere3.dec.star1.size == sphere3.num_edges
+    # one diagonal per grid square leaves the complex
+    assert torus16.dec.star1.size == torus16.num_edges - torus16.num_vertices
+
+
+@pytest.mark.parametrize("mesh, per_cell", [(clifford_torus(16, 16), 2),
+                                            (flat_rectangle(1.0, 1.0, 16, 16), 2),
+                                            (icosphere(1.0, 2), 1)],
+                         ids=["clifford16", "square16", "icosphere2"])
+def test_dual_cell_complex_invariants(mesh, per_cell):
+    """d1 d0 = 0 exactly, the cells tile the surface, and on the grids
+    the two triangles of every square form one cell."""
+    c = mesh.dec
+    assert (c.d1 @ c.d0).nnz == 0
+    assert c.d0.shape == (c.star1.size, mesh.num_vertices)
+    assert c.d1.shape == (c.cell_areas.size, c.star1.size)
+    assert abs(c.cell_areas.sum() - mesh.total_area) < 1e-12 * mesh.total_area
+    assert c.cell_areas.size * per_cell == mesh.num_faces
+
+
+def test_cells_of_more_than_two_triangles_refused():
+    """A pentagon on the circle of radius 5, fanned from one vertex on top
+    and from another below: integer coordinates make the weights of all
+    four diagonals exactly 0, so the middle triangle of each fan would
+    join a cell of three, and the complex refuses the mesh."""
+    verts = np.array([[5, 0, 0], [3, 4, 0], [-3, 4, 0], [-5, 0, 0], [0, -5, 0]], dtype=float)
+    top = [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
+    bottom = [[1, 3, 2], [1, 4, 3], [1, 0, 4]]
+    mesh = TriangleMesh(verts, top + bottom)
+    assert (_cotangent_weights(mesh) == 0.0).sum() == 4
+    with pytest.raises(MeshError, match="more than two triangles"):
+        mesh.dec
+
+
+@pytest.mark.parametrize("refinement", range(6))
+def test_icosphere_complex_is_the_clamped_oracle_bitwise(refinement):
+    """No icosphere weight is <= 0, so the dual-cell complex is the
+    triangle complex the package used to clamp: every operator and every
+    pencil is bitwise the oracle's."""
+    mesh = icosphere(1.0, refinement)
+    c = mesh.dec
+
+    def same(a, b):
+        a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+        return all(np.array_equal(x, y) for x, y in
+                   ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+    assert same(c.d0, exterior_derivative(mesh, 0)) and same(c.d1, exterior_derivative(mesh, 1))
+    assert same(c.stiffness0, clamped_stiffness0(mesh))
+    assert np.array_equal(c.cell_areas, mesh.face_areas) and not c.lifts
+    for p in (0, 1, 2):
+        pair, oracle = hodge_laplacian(mesh, p), clamped_pencil(mesh, p)
+        assert same(pair.stiffness, oracle.stiffness)
+        assert np.array_equal(pair.mass_diag, oracle.mass_diag)
+
+
+def cocircular_pillow():
+    """A quadrilateral on the circle of radius 5 (integer coordinates),
+    split by one diagonal on top and by the other below: a closed mesh
+    of two dual cells, each of two triangles of areas 15 and 30, whose
+    two diagonals have weight exactly 0."""
+    verts = np.array([[5, 0, 0], [3, 4, 0], [-4, 3, 0], [0, -5, 0]], dtype=float)
+    return TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+
+
+def test_seam_lift_splits_each_cell_by_area(torus16):
+    """The p = 1 density lifts a kept-edge cochain onto every edge: each
+    dropped diagonal takes the value that gives both triangles of its
+    cell the same d1 x / area, that is the cell's d1 x split by area;
+    kept edges keep their values.  A cell cochain goes to both triangles."""
+    pillow = cocircular_pillow()
+    assert (pillow.face_areas[[0, 2]] != pillow.face_areas[[1, 3]]).all()
+    for mesh in (torus16, pillow):
+        c = mesh.dec
+        x = np.random.default_rng(0).standard_normal(c.star1.size)
+        full = c.lifts[1] @ x
+        cells = c.lifts[2].indices
+        assert np.array_equal(c.lifts[2] @ np.arange(c.cell_areas.size, dtype=float), cells)
+        assert c.cell_areas.size * 2 == mesh.num_faces
+        curl = (exterior_derivative(mesh, 1) @ full) / mesh.face_areas
+        cell_curl = (c.d1 @ x) / c.cell_areas
+        assert np.abs(curl - cell_curl[cells]).max() < 1e-12 * np.abs(cell_curl).max()
+        kept = _cotangent_weights(mesh) != 0.0
+        assert np.array_equal(full[kept], x)
 
 
 def test_complex_assembled_once_per_mesh(monkeypatch):
     """Every pencil, curvature field and density of one mesh reads one
-    shared, read-only DEC complex: the cotangent weights are computed once."""
+    shared, read-only DEC complex: the cotangent weights are computed
+    once, and so are the seam lifts of a mesh with dual cells of two
+    triangles."""
     calls = []
     weights = artifact.dec._cotangent_weights
     monkeypatch.setattr(artifact.dec, "_cotangent_weights",
                         lambda mesh: calls.append(mesh) or weights(mesh))
-    mesh = icosphere(1.0, 2)  # fresh, so no earlier test has built its complex
-    spectra = closed_spectra(mesh, k=4)
-    audit_closed(mesh, spectra, j_max=2)
-    assert len(calls) == 1 and calls[0] is mesh
-    c = mesh.dec
-    for array in (c.d0.data, c.d1.indices, c.stiffness0.data, c.star0.diag,
-                  c.star1.diag, c.star2.diag, mesh.face_areas):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
+    # fresh meshes, so no earlier test has built their complexes
+    for mesh in (icosphere(1.0, 2), clifford_torus(8, 8)):
+        spectra = closed_spectra(mesh, k=4)
+        audit_closed(mesh, spectra, j_max=2)
+        assert calls.pop() is mesh and not calls
+        c = mesh.dec
+        lifts = [a for m in c.lifts.values() for a in (m.data, m.indices)]
+        for array in (c.d0.data, c.d1.indices, c.stiffness0.data, c.star0,
+                      c.star1, c.cell_areas, mesh.face_areas, *lifts):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    assert mesh.dec.lifts
 
 
 def test_laplacian_pairs_shape_and_symmetry(sphere2):
@@ -154,7 +246,7 @@ def test_dual_graph_p2_matches_star2_oracle(refinement):
     rel = np.abs(new.eigenvalues[1:] - lam[1:]) / lam[1:]
     assert rel.max() < 1e-12
     fa = mesh.face_areas
-    y, x = new.eigenvectors, mesh.dec.star2.diag[:, None] * old.eigenvectors
+    y, x = new.eigenvectors, (1.0 / mesh.dec.cell_areas)[:, None] * old.eigenvectors
     clusters = cluster_slices(lam, lam[-1])[:-1]
     assert clusters[0] == slice(0, 1)
     for cl in clusters:
@@ -174,28 +266,62 @@ def test_dual_graph_p2_matches_star2_oracle(refinement):
 
 
 def test_dual_graph_p2_on_clamped_torus(torus16):
-    """clifford16 has one clamped (zero-cotangent) edge per cell, so both
-    forms carry 1/eps = 1e8-sized entries and neither is accurate to
-    1e-12 (ROADMAP item 3).  Each value still lies within the sum of the
-    two certified pencil-norm residuals of the other form's value."""
+    """clifford16 has one zero-cotangent diagonal per grid square.  The
+    clamped oracle keeps it, with 1/eps = 1e8-sized entries, and is
+    accurate only to its pencil residuals; the exact complex merges its
+    two triangles into one cell.  Each exact value lies within the
+    oracle's certified pencil-norm residual of the oracle's value, and
+    the exact pencil residuals are at rounding level."""
     new = solve_pair(hodge_laplacian(torus16, 2), k=22)
-    old = solve_pair(star2_pencil(torus16), k=22)
+    old = solve_pair(clamped_pencil(torus16, 2), k=22)
     assert new.zero_count == old.zero_count == 1
-    bound = new.meta["pencil_residuals"] + old.meta["pencil_residuals"]
-    assert (np.abs(new.eigenvalues - old.eigenvalues) <= bound).all()
-    assert (bound[1:] < 1e-5 * old.eigenvalues[1:]).all()
+    assert (np.abs(new.eigenvalues - old.eigenvalues) <= old.meta["pencil_residuals"]).all()
+    lam = np.maximum(new.eigenvalues, new.eigenvalues[1])
+    assert (new.meta["pencil_residuals"] <= 1e-10 * lam).all()
+    assert abs(new.eigenvalues[0]) < 1e-12 * new.eigenvalues[1]
 
 
 def test_p2_pencil_in_eigenvalue_units():
-    """On icosphere4 ||A'||_inf of the dual-graph form is 11.7, in the
-    units of its eigenvalues, not the 2.2e6 of the star2 form, so the
-    solver's shift -1e-6 trace(A)/dim sits next to the kernel."""
-    mesh = icosphere(1.0, 4)
-    pair = hodge_laplacian(mesh, 2)
-    assert spla.norm(pair.stiffness, np.inf) < 100.0
-    assert spla.norm(star2_pencil(mesh).stiffness, np.inf) > 1e6
-    res = solve_pair(pair, k=22)
-    assert abs(res.meta["sigma"]) < 1e-4 * res.eigenvalues[1]
+    """||A'||_inf of the dual-graph form is 11.7 on icosphere4 and 8.0 on
+    clifford64, in the units of the eigenvalues, not the 2.2e6 of the
+    star2 form or the 3.0e8 of the clamped torus, so the solver's shift
+    -1e-6 trace(A)/dim sits next to the kernel."""
+    for mesh, oracle in ((icosphere(1.0, 4), star2_pencil),
+                         (clifford_torus(64, 64), lambda m: clamped_pencil(m, 2))):
+        pair = hodge_laplacian(mesh, 2)
+        assert spla.norm(pair.stiffness, np.inf) < 100.0
+        assert spla.norm(oracle(mesh).stiffness, np.inf) > 1e6
+        res = solve_pair(pair, k=22)
+        assert abs(res.meta["sigma"]) < 1e-4 * res.eigenvalues[1]
+
+
+def test_negative_dual_lengths_refused_where_star1_is_a_mass_or_inverted():
+    """A vertex pulled most of the way to a neighbour puts two
+    circumcentres beyond their edges: two negative weights.  The 0-form
+    stiffness is PSD with them; p = 1 (mass star_1) and p = 2
+    (star_1^-1) refuse the mesh."""
+    base = icosphere(1.0, 2)
+    v = base.vertices.copy()
+    v[0] += 0.8 * (v[base.edges[base.edges[:, 0] == 0][0, 1]] - v[0])
+    mesh = TriangleMesh(v, base.faces)
+    assert (_cotangent_weights(mesh) < 0).sum() == 2
+    a = hodge_laplacian(mesh, 0).stiffness.toarray()
+    assert np.linalg.eigvalsh(a).min() > -1e-12 * np.abs(a).max()
+    for p in (1, 2):
+        with pytest.raises(MeshError, match="2 edges have a negative dual length"):
+            hodge_laplacian(mesh, p)
+
+
+def test_cap_dirichlet_lambda1_converges_monotonically():
+    """cap3, cap4 and cap5 have 2, 12 and 16 negative weights, which the
+    0-form stiffness keeps as they are: lambda_1 reads 4.86757, 4.92331
+    and 4.93362 and approaches the exact 4.93604 from below, each step
+    closer (the clamped stiffness overshot to 4.95709, then 4.95110)."""
+    exact = 4.93604
+    lam = [solve_pair(dirichlet_laplacian(geodesic_cap(np.pi / 3.0, r)), k=2).eigenvalues[0]
+           for r in (3, 4, 5)]
+    assert lam[0] < lam[1] < lam[2] < exact
+    assert np.allclose(lam, [4.86757, 4.92331, 4.93362], atol=1e-5)
 
 
 def test_p2_spectrum_converges_to_p0(sphere2, sphere3):
