@@ -226,25 +226,21 @@ def _sort_records(records):
 def discretization_allowance(fine, coarse):
     """Audit tolerance from a Richardson comparison of two refinements.
 
-    ``fine`` and ``coarse`` map form degree to ascending eigenvalue
-    arrays.  Returns three times the worst relative difference over the
-    shared indices, with kernel-level eigenvalues excluded.
+    ``fine`` and ``coarse`` map form degree to ``SpectrumResult``s.
+    Returns three times the worst relative difference over the shared
+    indices past the fine spectrum's ``zero_count`` kernel values.
     """
     worst = 0.0
-    for p, vals_f in fine.items():
-        vals_f = np.asarray(getattr(vals_f, "eigenvalues", vals_f), dtype=float)
-        vals_c = np.asarray(getattr(coarse[p], "eigenvalues", coarse[p]), dtype=float)
-        n = min(len(vals_f), len(vals_c))
-        vals_f, vals_c = vals_f[:n], vals_c[:n]
-        floor = 1e-6 * max(vals_f.max(), 1e-300)
-        live = vals_f > floor
-        if live.any():
-            rel = np.abs(vals_f[live] - vals_c[live]) / vals_f[live]
+    for p, spec in fine.items():
+        n = min(len(spec.eigenvalues), len(coarse[p].eigenvalues))
+        vals_f = spec.eigenvalues[spec.zero_count:n]
+        if vals_f.size:
+            rel = np.abs(vals_f - coarse[p].eigenvalues[spec.zero_count:n]) / vals_f
             worst = max(worst, float(rel.max()))
     return 3.0 * worst
 
 
-def closed_spectra(mesh, k, tol=1e-8, seed=42):
+def closed_spectra(mesh, k, seed=42):
     """Certified spectra of the three Hodge Laplacian pencils.
 
     p = 0 and p = 2 are solved directly.  On a surface with
@@ -259,15 +255,15 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
     harmonic 1-forms) solve the p = 1 pencil directly.
     """
     pairs = {p: hodge_laplacian(mesh, p) for p in (0, 1, 2)}
-    spectra = {p: solve_pair(pairs[p], k=k, tol=tol, seed=seed) for p in (0, 2)}
+    spectra = {p: solve_pair(pairs[p], k=k, seed=seed) for p in (0, 2)}
     if mesh.euler_characteristic != 2:  # b1 = 2 - chi harmonic 1-forms
-        spectra[1] = solve_pair(pairs[1], k=k, tol=tol, seed=seed)
+        spectra[1] = solve_pair(pairs[1], k=k, seed=seed)
     else:
-        spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k, tol)
+        spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k)
         if spectra[1] is None:
-            wide = {p: solve_pair(pairs[p], k=min(2 * k, max_pairs(pairs[p].dim)), tol=tol,
-                                  seed=seed) for p in (0, 2)}
-            spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k, tol)
+            wide = {p: solve_pair(pairs[p], k=min(2 * k, max_pairs(pairs[p].dim)), seed=seed)
+                    for p in (0, 2)}
+            spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k)
         if spectra[1] is None:
             raise CertificationError(
                 f"fewer than k={k} derived 1-form eigenvalues lie below the "
@@ -275,7 +271,7 @@ def closed_spectra(mesh, k, tol=1e-8, seed=42):
     return dict(sorted(spectra.items()))
 
 
-def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
+def _derived_one_forms(mesh, pair1, spec0, spec2, k):
     """The k lowest p = 1 pairs of a genus-0 mesh, mapped from p = 0 and p = 2.
 
     With diagonal stars and d1 d0 = 0 the p = 1 pencil is the exact part
@@ -309,7 +305,7 @@ def _derived_one_forms(mesh, pair1, spec0, spec2, k, tol):
 
     tops = [spec.meta["complete_below"] for spec in (spec0, spec2)]
     result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag,
-                               list(zip((lam0, lam2), tops, (exact, coexact))), k, tol)
+                               list(zip((lam0, lam2), tops, (exact, coexact))), k)
     if result is not None:
         result.meta.update(method="derived", sources=(0, 2))
     return result

@@ -47,7 +47,14 @@ LEMMA_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; reserve 2 for audit failures."""
+    """argparse exits with status 2 on bad usage; reserve 2 for audit failures.
+
+    Long options must be spelt out: a prefix such as ``--tol`` would
+    otherwise be read as ``--tol-audit``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -191,7 +198,7 @@ def _cmd_spectrum(args):
         if args.q:
             raise ValueError("--q requires --dirichlet")
         pair = hodge_laplacian(mesh, args.p)
-    result = solve_pair(pair, k=args.k, tol=args.tol, seed=args.seed)
+    result = solve_pair(pair, k=args.k, seed=args.seed)
     payload = result.to_json_dict(args.p)
     payload["dirichlet"] = bool(args.dirichlet)
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -210,21 +217,20 @@ def _cmd_audit(args):
     _check_pencil_sizes(family, levels, (mesh, coarse_mesh), suite, k)
 
     if suite == "closed":
-        spectra = closed_spectra(mesh, k, tol=args.tol, seed=args.seed)
-        coarse = closed_spectra(coarse_mesh, k, tol=args.tol, seed=args.seed)
+        spectra = closed_spectra(mesh, k, seed=args.seed)
+        coarse = closed_spectra(coarse_mesh, k, seed=args.seed)
         allowance = discretization_allowance(spectra, coarse)
         records = audit_closed(mesh, spectra, j_max=args.j_max,
                                tol_audit=args.tol_audit, allowance=allowance)
     else:
         q = _load_potential(args.q, mesh) if args.q else None
         fine_pair = dirichlet_laplacian(mesh, q)
-        fine_spec = solve_pair(fine_pair, k=k, tol=args.tol, seed=args.seed)
+        fine_spec = solve_pair(fine_pair, k=k, seed=args.seed)
         spectra = {0: fine_spec}
         # The potential file matches the fine mesh only; the allowance is
         # estimated from the zero-potential pencils, whose discretization
         # error converges at the same rate.
-        coarse_spec = solve_pair(dirichlet_laplacian(coarse_mesh, None),
-                                 k=k, tol=args.tol, seed=args.seed)
+        coarse_spec = solve_pair(dirichlet_laplacian(coarse_mesh, None), k=k, seed=args.seed)
         allowance = discretization_allowance(spectra, {0: coarse_spec})
         records = audit_dirichlet(
             mesh, fine_pair, fine_spec, ambient="sphere" if family == "cap" else "flat",
@@ -241,7 +247,7 @@ def _cmd_heisenberg(args):
     _check_j_max(args.j_max)
     grid = heisenberg_grid(args.n, args.box[0], args.box[1], args.grid)
     k = max(args.k, args.j_max + args.n)
-    result = kohn_spectrum(grid, k=k, tol=args.tol, seed=args.seed)
+    result = kohn_spectrum(grid, k=k, seed=args.seed)
     records = audit_kohn(result.eigenvalues, args.n, args.j_max,
                          tol_audit=args.tol_audit)
     name = f"heisenberg-n{args.n}"
@@ -307,7 +313,6 @@ def _build_parser():
     p_spec.add_argument("-k", type=int, default=12)
     p_spec.add_argument("--dirichlet", action="store_true")
     p_spec.add_argument("--q", help="CSV of vertex_index,value rows; missing vertices default to 0")
-    p_spec.add_argument("--tol", type=float, default=1e-8)
     p_spec.add_argument("--seed", type=int, default=42)
     p_spec.add_argument("--out")
     p_spec.set_defaults(func=_cmd_spectrum)
@@ -317,7 +322,6 @@ def _build_parser():
     p_audit.add_argument("--suite", required=True, choices=["closed", "dirichlet"])
     p_audit.add_argument("--j-max", type=int, default=20)
     p_audit.add_argument("--q", help="CSV of vertex_index,value rows; missing vertices default to 0")
-    p_audit.add_argument("--tol", type=float, default=1e-8)
     p_audit.add_argument("--tol-audit", type=float, default=AUDIT_TOL)
     p_audit.add_argument("--seed", type=int, default=42)
     p_audit.add_argument("--fmt", choices=["json", "csv"], default="json")
@@ -331,7 +335,6 @@ def _build_parser():
     p_heis.add_argument("--grid", type=int, default=32)
     p_heis.add_argument("-k", type=int, default=12)
     p_heis.add_argument("--j-max", type=int, default=5)
-    p_heis.add_argument("--tol", type=float, default=1e-8)
     p_heis.add_argument("--tol-audit", type=float, default=AUDIT_TOL)
     p_heis.add_argument("--seed", type=int, default=42)
     p_heis.add_argument("--fmt", choices=["json", "csv"], default="json")

@@ -43,7 +43,8 @@ class CurvatureData:
     ``cs_defect`` is the worst violation of the trace inequality
     2 |h|^2 >= |H|^2 over valid vertices.  Analytically it is zero;
     discretely it is nonzero exactly where the pointwise estimators
-    disagree (irregular vertices), and it feeds the clamp in phi.
+    disagree (irregular vertices).  Nothing in the package reads it:
+    ``phi_field`` counts its own radicand clamps.
     """
 
     H_vec: np.ndarray

@@ -66,12 +66,12 @@ class EigenproblemPair:
         return self.stiffness.shape[0]
 
 
-def assert_symmetric(a, tol=SYMMETRY_TOL, what="operator"):
-    """Certify max |A - A^T| <= tol * max(1, max |A|); raise otherwise."""
+def assert_symmetric(a, what="operator"):
+    """Certify max |A - A^T| <= SYMMETRY_TOL * max(1, max |A|); raise otherwise."""
     d = (a - a.T).tocoo()
     gap = np.abs(d.data).max() if d.nnz else 0.0
     scale = max(1.0, np.abs(a.data).max() if a.nnz else 0.0)
-    if gap > tol * scale:
+    if gap > SYMMETRY_TOL * scale:
         raise ValueError(f"{what} is not symmetric: |A - A^T| = {gap:.3e}")
 
 
@@ -240,5 +240,4 @@ def dirichlet_laplacian(mesh, potential=None):
     q_int.setflags(write=False)
     a = a + sp.diags(mass * q_int)
     assert_symmetric(a, what="dirichlet laplacian")
-    a = _symmetrized(a)
-    return EigenproblemPair(a.tocsr(), mass, 0, True, interior, q_int)
+    return EigenproblemPair(_symmetrized(a), mass, 0, True, interior, q_int)

@@ -15,7 +15,9 @@ certified solves of its invariant subspaces and says below what shift
 they are complete, without factoring the pencil; ``merged_eigenpairs``
 lifts the picked pairs and certifies them the same way on the pencil.
 
-This module alone decides four things about a computed spectrum:
+This module alone decides five things about a computed spectrum:
+the residual bound every certified pair meets (``RESIDUAL_TOL``, read
+when a pair is certified, so no caller passes a bound of its own),
 where one eigenvalue ends and the next begins (``clear_gaps``: a step
 wider than 1e-8 of the scale; the orthonormality clusters, the inertia
 shift of a solve, the merge's fallback shift and the Kohn count shift
@@ -40,6 +42,8 @@ __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
            "solve_pair", "clear_gaps", "count_shift", "max_pairs"]
 
 DENSE_CUTOFF = 64
+# Bound on each pair's relative residual ||r|| / (||A||_inf ||x||_M).
+RESIDUAL_TOL = 1e-8
 
 
 class EigensolveError(RuntimeError):
@@ -134,8 +138,7 @@ def max_pairs(dim):
     return dim if dim <= DENSE_CUTOFF else dim - 2
 
 
-def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
-                        inertia=None):
+def smallest_eigenpairs(a, mass=None, k=6, seed=42, definite=False, inertia=None):
     """k smallest eigenpairs of A x = lambda M x with certificates.
 
     Parameters
@@ -147,8 +150,6 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
         Number of pairs, at most ``max_pairs(dim)``: dim - 2 on the
         iterative path (small problems fall back to a dense solve that
         allows k <= dim).
-    tol : float
-        Residual certificate bound, in (0, 1e-4].
     seed : int
         Seeds the Lanczos starting vector; fixed seed gives
         reproducible spectra to machine precision.
@@ -165,8 +166,9 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
         retried once with a deeper Krylov space, and a second mismatch
         raises ``CertificationError``.
 
-    A must be positive semi-definite: lambda_1 < -1e-9 ||A||_inf raises
-    CertificationError.
+    Every pair's relative residual must be at most ``RESIDUAL_TOL``;
+    otherwise ``EigensolveError`` is raised.  A must be positive
+    semi-definite: lambda_1 < -1e-9 ||A||_inf raises CertificationError.
 
     Returns
     -------
@@ -186,8 +188,6 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
     if not 1 <= k <= max_pairs(dim):
         raise ValueError(f"k={k} is not in 1..{max_pairs(dim)}, the pairs a solve of "
                          f"dimension {dim} returns")
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
     if inertia is not None and inertia[0] != k:
         raise ValueError(f"an inertia count certifies k={k} pairs only when it counts k "
                          f"values, got {inertia[0]}")
@@ -196,7 +196,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
     if dim <= DENSE_CUTOFF:
         vals, vecs, meta = _solve_dense(a, m_diag, k)
         vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-        residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
+        residuals, pencil = _certify_residuals(a, m_diag, vals, vecs)
         if inertia is not None:
             meta.update(_check_count(vals, *inertia))
     else:
@@ -206,7 +206,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
         for extra in (0, 8):
             vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed, definite, extra)
             vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-            residuals, pencil = _certify_residuals(a, m_diag, vals, vecs, tol)
+            residuals, pencil = _certify_residuals(a, m_diag, vals, vecs)
             try:
                 meta.update(_verify_inertia(a, mass, vals, k) if inertia is None
                             else _check_count(vals, *inertia))
@@ -222,7 +222,7 @@ def smallest_eigenpairs(a, mass=None, k=6, tol=1e-8, seed=42, definite=False,
     result_vecs = vecs[:, :k].copy()
     return SpectrumResult(result_vals, result_vecs, residuals[:k].copy(),
                           _zero_count(result_vals),
-                          {"tol": tol, "seed": seed, **meta,
+                          {"seed": seed, **meta,
                            "complete_below": np.inf if k == dim else float(result_vals[-1]),
                            "pencil_residuals": pencil[:k].copy()})
 
@@ -293,9 +293,9 @@ def _certify_orthonormal(vals, vecs, m_diag):
     return vals, vecs
 
 
-def _certify_residuals(a, m_diag, vals, vecs, tol):
+def _certify_residuals(a, m_diag, vals, vecs):
     """Relative residuals ||r|| / (||A||_inf ||x||_M), which certify each
-    pair against ``tol``, and the pencil-norm residuals
+    pair against ``RESIDUAL_TOL``, and the pencil-norm residuals
     ||r||_{M^-1} / ||x||_M of the same r = A x - lambda M x."""
     # Independent matvec on the stored operators, not ARPACK internals.
     r = a @ vecs - (m_diag[:, None] * vecs) * vals[None, :]
@@ -304,9 +304,9 @@ def _certify_residuals(a, m_diag, vals, vecs, tol):
     norm_a = max(spla.norm(a, np.inf), 1e-300)
     residuals = norms / (norm_a * x_m)
     worst = int(np.argmax(residuals))
-    if residuals[worst] > tol:
-        raise EigensolveError(
-            f"residual certificate failed at pair {worst}: {residuals[worst]:.3e} > {tol:.1e}")
+    if residuals[worst] > RESIDUAL_TOL:
+        raise EigensolveError(f"residual certificate failed at pair {worst}: "
+                              f"{residuals[worst]:.3e} > {RESIDUAL_TOL:.1e}")
     return residuals, np.sqrt(np.einsum("ij,ij->j", r, r / m_diag[:, None])) / x_m
 
 
@@ -465,7 +465,7 @@ def merged_selection(values, tops, k):
     return order[:k], SpectrumResult(vals, None, None, _zero_count(vals), meta)
 
 
-def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
+def merged_eigenpairs(a, mass, parts, k):
     """The k lowest pairs of A x = lambda M x from solves of invariant subspaces.
 
     ``parts`` holds one ``(values, top, lift)`` per subspace: its
@@ -475,7 +475,7 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     columns.  Returns None when the selection is incomplete.  Only the
     chosen columns are lifted, and the k pairs are re-certified
     (M-orthonormality and residuals) on (A, M); ``meta`` is the
-    selection's, with ``tol`` and ``pencil_residuals``.
+    selection's, with ``pencil_residuals``.
     """
     m_diag = _mass_matrix(mass, a.shape[0])[1]
     values, tops, lifts = zip(*parts)
@@ -490,12 +490,12 @@ def merged_eigenpairs(a, mass, parts, k, tol=1e-8):
     vecs = vecs[:, np.searchsorted(chosen, pick)]
     result.eigenvectors = _certify_orthonormal(result.eigenvalues, vecs, m_diag)[1]
     result.residuals, pencil = _certify_residuals(a, m_diag, result.eigenvalues,
-                                                  result.eigenvectors, tol)
-    result.meta.update(tol=tol, pencil_residuals=pencil)
+                                                  result.eigenvectors)
+    result.meta.update(pencil_residuals=pencil)
     return result
 
 
-def solve_pair(pair, k, tol=1e-8, seed=42):
+def solve_pair(pair, k, seed=42):
     """Solve an assembled EigenproblemPair; Dirichlet pairs use sigma = 0."""
-    return smallest_eigenpairs(pair.stiffness, pair.mass_diag, k=k, tol=tol,
-                               seed=seed, definite=pair.dirichlet)
+    return smallest_eigenpairs(pair.stiffness, pair.mass_diag, k=k, seed=seed,
+                               definite=pair.dirichlet)

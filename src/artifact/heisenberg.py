@@ -107,10 +107,6 @@ class HeisenbergGrid:
         return tuple([spatial.copy() for _ in range(2 * self.n)] + [time_ax])
 
     @property
-    def num_nodes(self):
-        return (self.g - 2) ** (2 * self.n + 1)
-
-    @property
     def spacings(self):
         """Grid step per axis (the boundary gap equals the interior step)."""
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
@@ -269,7 +265,7 @@ def _mode_operators(grid, mu, pieces):
     return [(s + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
 
 
-def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
+def kohn_spectrum(grid, k=12, seed=42):
     """Certified low spectrum of the sublaplacian on the grid.
 
     D_t = tridiag(-1, 0, 1)/(2 h_t) on the m interior t-nodes has the
@@ -341,7 +337,7 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
             counted = inertia_count(op, None, shift, step)
             pairs, top = min(counted[0], half), counted[1] if counted[0] <= half else None
         if pairs:
-            res = smallest_eigenpairs(op, None, k=pairs, tol=tol, seed=seed, definite=True,
+            res = smallest_eigenpairs(op, None, k=pairs, seed=seed, definite=True,
                                       inertia=None if top is None else counted)
             top = res.meta["complete_below"] if top is None else top
         meta = res.meta if pairs else {"inertia_checked": True, "inertia_count": 0,
@@ -364,7 +360,7 @@ def kohn_spectrum(grid, k=12, tol=1e-8, seed=42):
     chosen = [(solves[j], i // 2) for j, i in zip(mode, col)]
     result.residuals = np.array([res.residuals[i] for res, i in chosen])
     result.meta.update(
-        tol=tol, method="t-modes", seed=seed, modes=modes, weyl_slack=slack,
+        method="t-modes", seed=seed, modes=modes, weyl_slack=slack,
         pencil_residuals=np.array([res.meta["pencil_residuals"][i] for res, i in chosen]),
         pair_mode=mode, pair_imag=col % 2 == 1,
         mode_vectors=np.column_stack([res.eigenvectors[:, i] for res, i in chosen]))

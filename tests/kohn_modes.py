@@ -45,7 +45,7 @@ def lift_pairs(grid, result):
         for i, (j, imag) in enumerate(zip(meta["pair_mode"], meta["pair_imag"]))])
 
 
-def every_mode_spectrum(grid, k=12, tol=1e-8, seed=42):
+def every_mode_spectrum(grid, k=12, seed=42):
     """``kohn_spectrum`` with every mode solved for ceil(k/2) pairs: the
     mode with the smallest top has ceil(k/2) values at or below it, each
     doubled, so the merge is always complete."""
@@ -55,12 +55,11 @@ def every_mode_spectrum(grid, k=12, tol=1e-8, seed=42):
     slack = heisenberg._certify_t_modes(grid, mu, vecs, pieces)
     parts, modes = [], []
     for mu_j, v, op in zip(mu, vecs.T, heisenberg._mode_operators(grid, mu, pieces)):
-        res = smallest_eigenpairs(op, None, k=(k + 1) // 2, tol=tol, seed=seed,
-                                  definite=True)
+        res = smallest_eigenpairs(op, None, k=(k + 1) // 2, seed=seed, definite=True)
         top = float(res.eigenvalues[-1])
         parts += [(res.eigenvalues, top, lift)
                   for lift in mode_lifts(grid, res.eigenvectors, v)]
         modes.append({**res.meta, "mu": float(mu_j), "dim": op.shape[0]})
-    result = merged_eigenpairs(lap, None, parts, k, tol)
+    result = merged_eigenpairs(lap, None, parts, k)
     result.meta.update(method="every-mode", seed=seed, modes=modes, weyl_slack=slack)
     return result

@@ -163,7 +163,7 @@ def _lift(vecs, basis, nodes, twist, dim):
     return lift
 
 
-def sector_spectrum(grid, k=12, tol=1e-8, seed=42):
+def sector_spectrum(grid, k=12, seed=42):
     """``kohn_spectrum`` by symmetry sectors of one parity block: the even
     block splits into the four characters of F and G, and T halves the
     sectors it maps onto themselves; the pairs are lifted to L and merged
@@ -173,8 +173,8 @@ def sector_spectrum(grid, k=12, tol=1e-8, seed=42):
     even, image, twist, pencils = _sector_pencils(grid, lap)
     parts, sectors = [], []
     for pencil in pencils:
-        res = smallest_eigenpairs(pencil.op, pencil.mass, k=(k + 1) // 2, tol=tol,
-                                  seed=seed, definite=True)
+        res = smallest_eigenpairs(pencil.op, pencil.mass, k=(k + 1) // 2, seed=seed,
+                                  definite=True)
         top = float(res.eigenvalues[-1])
         parts += [(res.eigenvalues, top,
                    _lift(res.eigenvectors, pencil.basis, nodes, perm, dim))
@@ -186,7 +186,7 @@ def sector_spectrum(grid, k=12, tol=1e-8, seed=42):
         if pencil.image:
             sectors.append({**sector, "character": pencil.image,
                             "image_of": pencil.character})
-    result = merged_eigenpairs(lap, None, parts, k, tol)
+    result = merged_eigenpairs(lap, None, parts, k)
     result.meta.update(method="sectors", seed=seed, parity_block=True,
                        block_dim=len(even), sectors=sectors)
     return result

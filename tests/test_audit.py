@@ -14,7 +14,7 @@ from artifact.audit import (AuditError, audit_closed, audit_dirichlet,
                             integrate_against, reconstruct_density,
                             whitney_face_mass)
 from artifact.dec import dirichlet_laplacian, hodge_laplacian
-from artifact.eigensolve import solve_pair
+from artifact.eigensolve import SpectrumResult, solve_pair
 from artifact.mesh import TriangleMesh
 
 
@@ -121,11 +121,24 @@ def test_density_factor_gate(sphere2):
 
 
 def test_discretization_allowance():
-    fine = {0: np.array([0.0, 2.0, 2.0]), 1: np.array([1.0, 2.0, 4.0])}
-    coarse = {0: np.array([1e-9, 2.1, 2.0]), 1: np.array([1.0, 2.0, 4.4])}
+    def spectrum(vals, zero_count):
+        return SpectrumResult(np.array(vals), None, np.zeros(len(vals)), zero_count)
+
+    fine = {0: spectrum([0.0, 2.0, 2.0], 1), 1: spectrum([1.0, 2.0, 4.0], 0)}
+    coarse = {0: spectrum([1e-9, 2.1, 2.0], 1), 1: spectrum([1.0, 2.0, 4.4], 0)}
     # kernel row excluded; worst live deviation is 0.1 at degree 1
     assert discretization_allowance(fine, coarse) == pytest.approx(0.3)
     assert discretization_allowance(fine, fine) == 0.0
+    # the kernel is the solver's zero_count, not a floor of the allowance's
+    # own: a live value below 1e-6 of the top is compared too
+    fine = {0: spectrum([5e-7, 1.0], 0)}
+    coarse = {0: spectrum([6e-7, 1.0], 0)}
+    assert discretization_allowance(fine, coarse) == pytest.approx(0.6)
+    # only the shared indices are compared, and a kernel of every value
+    # leaves nothing to compare
+    assert discretization_allowance({0: spectrum([0.0, 0.0], 2)}, coarse) == 0.0
+    assert discretization_allowance({0: spectrum([5e-7, 1.0, 9.0], 0)},
+                                    coarse) == pytest.approx(0.6)
 
 
 def test_audit_closed_catalog_shape(sphere2, sphere2_spectra):

@@ -144,6 +144,20 @@ def test_audit_usage_errors():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--mesh", "icosphere2", "--suite", "closed"],
+    ["heisenberg", "--grid", "16"],
+    ["spectrum", "--mesh", "icosphere2"],
+])
+def test_residual_bound_is_not_an_option(argv, capsys):
+    # the solver owns its residual bound; --tol is not read as a prefix
+    # of --tol-audit either
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-6"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+
 def test_heisenberg_command(tmp_path, capsys):
     out = tmp_path / "heis.json"
     code = main(["heisenberg", "--n", "1", "--grid", "18", "-k", "8",

@@ -16,6 +16,7 @@ from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  _factor_symmetric, _gap_shift, _solve_dense,
                                  _verify_inertia, count_shift, inertia_count,
                                  merged_eigenpairs, smallest_eigenpairs, solve_pair)
+from artifact.heisenberg import heisenberg_grid, kohn_spectrum
 from artifact.mesh import icosphere
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,10 +80,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         smallest_eigenpairs(dirichlet_chain(100), k=99)  # iterative cap dim - 2
     with pytest.raises(ValueError):
-        smallest_eigenpairs(a, tol=0.0)
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(a, tol=1e-3)
-    with pytest.raises(ValueError):
         smallest_eigenpairs(sp.csr_matrix(np.ones((2, 3))))
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, mass=-np.ones(10), k=2)
@@ -99,13 +96,32 @@ def test_mass_orthonormality_certificate(sphere2):
 
 def test_residual_certificates_recomputed(sphere2):
     pair = hodge_laplacian(sphere2, 0)
-    res = solve_pair(pair, k=6, tol=1e-8)
+    res = solve_pair(pair, k=6)
     assert (res.residuals <= 1e-8).all()
     a = pair.stiffness
     r = a @ res.eigenvectors \
         - (pair.mass_diag[:, None] * res.eigenvectors) * res.eigenvalues[None, :]
     norm_a = np.abs(a).sum(axis=1).max()
     assert np.linalg.norm(r, axis=0).max() / norm_a < 1e-8 * 10
+
+
+@pytest.mark.parametrize("path", ["dense", "lanczos", "merged", "kohn"])
+def test_every_solve_certifies_against_the_one_residual_bound(path, monkeypatch):
+    # every certified pair is held to eigensolve.RESIDUAL_TOL, read when it
+    # is certified: with the bound below rounding, each path refuses
+    chain = dirichlet_chain(10)
+    res = smallest_eigenpairs(chain, k=3, definite=True)
+    parts = [(res.eigenvalues, res.eigenvalues[-1], lambda idx: res.eigenvectors[:, idx])]
+    solve = {
+        "dense": lambda: smallest_eigenpairs(chain, k=3, definite=True),
+        "lanczos": lambda: smallest_eigenpairs(dirichlet_chain(100), k=3, definite=True),
+        "merged": lambda: merged_eigenpairs(chain, None, parts, 2),
+        "kohn": lambda: kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 16), k=4),
+    }[path]
+    assert solve() is not None
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(EigensolveError, match="residual certificate failed"):
+        solve()
 
 
 def test_zero_counts(sphere2, torus16):
@@ -275,7 +291,7 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     parts = [part(0), part(1)]
     exact = np.sort(np.concatenate([chain_oracle(n, k_part) for n in sizes]))
     bound = parts[0][1]
-    merged = merged_eigenpairs(a, None, parts, 6, tol=1e-8)
+    merged = merged_eigenpairs(a, None, parts, 6)
     assert np.abs(merged.eigenvalues - exact[:6]).max() < 1e-10 * exact[5]
     assert merged.residuals.max() < 1e-8 and merged.zero_count == 0
     assert merged.meta["complete_below"] == bound
@@ -288,7 +304,7 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert int((lu.U.diagonal() < 0).sum()) == merged.meta["inertia_count"] == 6
     # the 7th value is the coarse chain's top itself: complete, accepted
-    at_bound = merged_eigenpairs(a, None, parts, 7, tol=1e-8)
+    at_bound = merged_eigenpairs(a, None, parts, 7)
     assert at_bound.eigenvalues[-1] == bound
     assert np.abs(at_bound.eigenvalues - exact[:7]).max() < 1e-10 * exact[6]
     # its inertia shift sits in the last gap below the bound, off the spectrum
@@ -297,7 +313,7 @@ def test_merged_eigenpairs_of_two_dirichlet_chains():
     lu = _factor_symmetric((a - shift * sp.identity(dim, format="csr")).tocsc())
     assert int((lu.U.diagonal() < 0).sum()) == at_bound.meta["inertia_count"] == 6
     # the 8th lies above it, where the coarse chain's 5th value may hide
-    assert merged_eigenpairs(a, None, parts, 8, tol=1e-8) is None
+    assert merged_eigenpairs(a, None, parts, 8) is None
 
 
 def random_pencil(dim, seed):
@@ -318,11 +334,12 @@ def dense_pencil_residuals(a, mass, vals, x):
 
 
 @pytest.mark.parametrize("dim", [40, 150])
-def test_pencil_residuals_match_dense_pencil_norms(dim):
+def test_pencil_residuals_match_dense_pencil_norms(dim, monkeypatch):
     """meta["pencil_residuals"] is ||r||_{M^-1} / ||x||_M of r = A x - lambda M x,
     and bounds the distance from each computed value to an eigenvalue of
     the dense pencil; on perturbed pairs, whose residuals stand far above
-    rounding, it is the dense value to 1e-10."""
+    rounding (and above ``RESIDUAL_TOL``, raised here to read them), it
+    is the dense value to 1e-10."""
     a, mass = random_pencil(dim, seed=dim)
     res = smallest_eigenpairs(a, mass, k=8)
     got = res.meta["pencil_residuals"]
@@ -336,7 +353,8 @@ def test_pencil_residuals_match_dense_pencil_norms(dim):
 
     rng = np.random.default_rng(dim)
     vecs = res.eigenvectors + 1e-6 * rng.standard_normal(res.eigenvectors.shape)
-    relative, pencil = _certify_residuals(a, mass, res.eigenvalues, vecs, 1e-4)
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-4)
+    relative, pencil = _certify_residuals(a, mass, res.eigenvalues, vecs)
     assert np.allclose(pencil, dense_pencil_residuals(a, mass, res.eigenvalues, vecs),
                        rtol=1e-10, atol=0.0)
     assert pencil.min() > 1e-8 and relative.min() > 1e-9
@@ -468,7 +486,7 @@ def test_merged_shift_keeps_clear_of_values_one_ulp_apart():
         return np.array(values), bound, lift
 
     parts = [part([0, 1], [1.0, bound]), part([3, 4], [2.0, below])]
-    merged = merged_eigenpairs(a, None, parts, 4, tol=1e-8)
+    merged = merged_eigenpairs(a, None, parts, 4)
     assert merged.eigenvalues.tolist() == [1.0, 2.0, below, bound]
     shift = merged.meta["inertia_shift"]
     assert np.abs(diag - shift).min() > 1e-8 * bound
@@ -516,7 +534,7 @@ def test_dense_path_matches_reference(dim, data_seed):
     ones = np.ones(dim)
     vals, vecs, _ = _solve_dense(a, ones, dim)
     vals, vecs = _certify_orthonormal(vals, vecs, ones)
-    residuals, _ = _certify_residuals(a, ones, vals, vecs, 1e-8)
+    residuals, _ = _certify_residuals(a, ones, vals, vecs)
     ref = np.linalg.eigvalsh(b + b.T)
     scale = max(np.abs(ref).max(), 1.0)
     assert np.abs(vals - ref).max() < 1e-9 * scale
