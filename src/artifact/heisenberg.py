@@ -27,11 +27,14 @@ discrete form of the reduction of the sublaplacian by a Fourier
 transform in t (Folland, *Harmonic Analysis in Phase Space*, 1989;
 Thangavelu, *Harmonic Analysis on the Heisenberg Group*, 1998).
 ``kohn_spectrum`` certifies the t-basis, counts the real mode operator
-of each positive frequency below a running bound with one inertia
-factorization (spectrum slicing: Grimes, Lewis and Simon, SIAM J.
-Matrix Anal. Appl. 15, 1994), and solves only the modes with values
-there.  It assembles no L and forms no vector on the full grid;
-``build_kohn_laplacian`` is the reference that the tests check it on.
+of each positive frequency below a running bound (spectrum slicing:
+Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994), and
+solves only the modes with values there.  At n = 1 a mode with no
+value there is proved empty by one banded Cholesky factorization on the
+reverse Cuthill-McKee band of the pattern all modes share; every other
+count is an LDU count.  It assembles no L and forms no vector on the
+full grid; ``build_kohn_laplacian`` is the reference that the tests
+check it on.
 The eigenvalue inequality audited on this spectrum is ``heisenberg-sum``
 in ``audit``.
 """
@@ -44,8 +47,8 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import (CertificationError, count_shift, inertia_count, merged_selection,
-                         smallest_eigenpairs)
+from .eigensolve import (BandLayout, CertificationError, count_shift, inertia_count,
+                         merged_selection, smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
 
@@ -289,16 +292,21 @@ def kohn_spectrum(grid, k=12, seed=42):
     mode's top, at or below every value the mode did not return.  The
     first mode is solved for ceil(k/2) pairs, with its top at the
     solve's ``complete_below``, its last value.  Every later mode is
-    first counted below a running shift B by one inertia factorization
-    (``inertia_count``): with no value there it is not solved and
-    passes an empty part with top B; with nu values it is solved for
-    min(nu, ceil(k/2)) pairs, and its top is B when that is all of them
-    (the count then certifies the solve, in place of its own inertia
-    check), the solve's ``complete_below`` otherwise.  After the first
-    mode, and after each later solve, B is placed by
-    ``eigensolve.count_shift`` in the first clear gap past the k-th
-    lowest value below the smallest top, or at that top when there is
-    none.  The invariant is that the k-th lowest computed value is at or
+    first counted below a running shift B (``inertia_count``).  At
+    n = 1 every count first tries a banded Cholesky of L_mu - B I on
+    one ``eigensolve.BandLayout`` per call, built from the first mode
+    visited, as all modes store one CSR pattern; one that succeeds
+    proves the count 0, and any other count is made by one LDU
+    factorization.  At n = 2 the band of a mode is thousands wide, so
+    no layout is built and every count is an LDU count.  With no value
+    below B a mode is not solved and passes an empty part with top B;
+    with nu values it is solved for min(nu, ceil(k/2)) pairs, and its
+    top is B when that is all of them (the count then certifies the
+    solve, in place of its own inertia check), the solve's
+    ``complete_below`` otherwise.  After the first mode, and after each
+    later solve, B is placed by ``eigensolve.count_shift`` in the first
+    clear gap past the k-th lowest value below the smallest top, or at
+    that top when there is none.  The invariant is that the k-th lowest computed value is at or
     below every top: B is at or above it, a mode with more than
     ceil(k/2) values below B brings k values (each doubled) at or below
     its own top, and more values only lower the k-th.  So the selection
@@ -319,9 +327,12 @@ def kohn_spectrum(grid, k=12, seed=42):
     in the order visited its ``mu``, ``dim`` and ``pairs``, the number
     of pairs solved, with the solve's own ``meta``, or for a mode that
     was not solved the count 0 below ``inertia_shift`` with its
-    ``inertia_nnz``), ``weyl_slack`` (how far the eigenvalues of L may
-    be from those of the modes, a few eps ||L||), ``complete_below``
-    (the smallest mode top), and ``inertia_shift`` and
+    ``inertia_nnz``; for every mode ``inertia_method``,
+    ``"band-cholesky"`` or ``"ldu"``, the factorization that made its
+    count, and ``band_halfwidth``, the half-width of the call's band
+    layout, or None at n = 2), ``weyl_slack`` (how far the eigenvalues
+    of L may be from those of the modes, a few eps ||L||),
+    ``complete_below`` (the smallest mode top), and ``inertia_shift`` and
     ``inertia_count``: the count of L below that shift, read off the
     merged mode values below it.
     """
@@ -331,10 +342,14 @@ def kohn_spectrum(grid, k=12, seed=42):
     half = (k + 1) // 2
     values, tops, solves, modes = [], [], [], []
     shift = None
-    for mu_j, op in list(zip(mu, _mode_operators(grid, mu, pieces)))[::-1]:
+    visits = list(zip(mu, _mode_operators(grid, mu, pieces)))[::-1]
+    # every mode stores one CSR pattern; its band is about 2m wide at n = 1,
+    # but thousands wide at n = 2, where the LDU count is the cheaper one
+    band = BandLayout.of(visits[0][1]) if grid.n == 1 else None
+    for mu_j, op in visits:
         pairs, top, counted, res = half, None, None, None
         if shift is not None:
-            counted = inertia_count(op, None, shift, step)
+            counted = inertia_count(op, None, shift, step, band=band)
             pairs, top = min(counted[0], half), counted[1] if counted[0] <= half else None
         if pairs:
             res = smallest_eigenpairs(op, None, k=pairs, seed=seed, definite=True,
@@ -346,7 +361,10 @@ def kohn_spectrum(grid, k=12, seed=42):
         values.append(np.repeat(res.eigenvalues, 2) if pairs else np.empty(0))
         tops.append(top)
         solves.append(res)
-        modes.append({**meta, "mu": float(mu_j), "dim": op.shape[0], "pairs": pairs})
+        # a nonzero count, and every solve's own inertia check, is an LDU count
+        modes.append({**meta, "inertia_method": "ldu" if counted is None else counted.method,
+                      "band_halfwidth": None if band is None else band.width,
+                      "mu": float(mu_j), "dim": op.shape[0], "pairs": pairs})
         if pairs:
             shift, step = count_shift(np.concatenate(values), min(tops), k)
     selection = merged_selection(values, tops, k)

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
@@ -190,6 +189,9 @@ class TriangleMesh:
     def _validate_topology(self):
         if not self.is_closed:
             return
+        # imported here: loading csgraph costs every CLI start a few ms
+        from scipy.sparse.csgraph import connected_components
+
         # Per connected component of a closed oriented surface, chi = 2 - 2g.
         adj = coo_matrix(
             (np.ones(self.num_edges), (self.edges[:, 0], self.edges[:, 1])),

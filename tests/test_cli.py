@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,3 +327,16 @@ def test_main_fixes_the_malloc_thresholds_where_there_is_mallopt(monkeypatch, wi
     assert main(["mesh", "gen", "--shape", "icosphere",
                  "--params", "radius=abc", "--out", "/dev/null"]) == 1
     assert calls == ([(-3, 2 << 20), (-1, 32 << 20)] if with_mallopt else [])
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # scipy.sparse.csgraph adds a few ms to every CLI start; the band
+    # layout and the mesh topology check import it where they run
+    src = str(Path(artifact.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, artifact.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

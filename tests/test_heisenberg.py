@@ -319,9 +319,9 @@ def test_t_modes_match_sector_oracle(monkeypatch, g):
         solved.append((a, mass, kwargs["k"]))
         return res
 
-    def recording_count(a, mass, shift, step):
-        out = count(a, mass, shift, step)
-        counted.append((a, mass, out))
+    def recording_count(a, mass, shift, step, band):
+        out = count(a, mass, shift, step, band=band)
+        counted.append((a, mass, band, out))
         return out
 
     monkeypatch.setattr(heisenberg, "smallest_eigenpairs", recording)
@@ -342,6 +342,7 @@ def test_t_modes_match_sector_oracle(monkeypatch, g):
     solved_modes = [mode for mode in modes if mode["pairs"] > 0]
     assert len(solved) == len(solved_modes) and solved[0][2] == modes[0]["pairs"] == 6
     assert all("inertia_count" in mode and mode["dim"] == m * m for mode in modes)
+    assert modes[0]["inertia_method"] == "ldu"
     # one real symmetric m^2 operator per solved mode
     for (a, mass, k_s), mode in zip(solved, solved_modes):
         assert a.shape[0] == mode["dim"] and mass is None and k_s == mode["pairs"] <= 6
@@ -349,16 +350,22 @@ def test_t_modes_match_sector_oracle(monkeypatch, g):
         # sigma = 0 and lambda' shift the same pattern: equal stored entries
         assert mode["factor_nnz"] == mode["inertia_nnz"] == _factor_symmetric(
             sp.csc_matrix(a)).nnz
-    # every later mode is counted once; one with no value below the count
-    # shift, which lies past the k-th eigenvalue, is not solved
+    # every later mode is counted once, on the one band layout of the call;
+    # one with no value below the count shift, which lies past the k-th
+    # eigenvalue, is not solved, and its banded Cholesky proves that count
     assert len(counted) == len(modes) - 1
-    for (a, mass, (nu, shift, nnz)), mode in zip(counted, modes[1:]):
+    band = counted[0][2]
+    assert all(b is band for _, _, b, _ in counted) and band.width < 2 * m
+    for (a, mass, _, (nu, shift, nnz)), mode in zip(counted, modes[1:]):
         assert mass is None and a.shape[0] == mode["dim"]
         assert nu == int((np.linalg.eigvalsh(a.toarray()) < shift).sum())
         assert mode["pairs"] == min(nu, 6) and shift > res.eigenvalues[-1]
+        assert mode["band_halfwidth"] == band.width
+        assert mode["inertia_method"] == ("band-cholesky" if nu == 0 else "ldu")
         if nu == 0:
             assert mode["inertia_checked"] and mode["inertia_count"] == 0
             assert mode["inertia_shift"] == shift and mode["inertia_nnz"] == nnz
+            assert nnz == (band.width + 1) * a.shape[0]
     if g == 32:
         assert len(solved) <= 5
     assert res.eigenvalues[-1] <= meta["complete_below"]
@@ -416,9 +423,10 @@ def test_kohn_spectrum_bounds_working_memory():
 def test_counts_certify_later_mode_solves(monkeypatch):
     # a later mode with nu <= ceil(k/2) values below B is solved for nu
     # pairs and certified by that count, not by an inertia factorization
-    # of its own: at g = 32, k = 12 modes 3 and 4 are, so the call
-    # factors 20 times (4 shift factorizations, 2 inertia checks of their
-    # own, 14 counts) where it factored 22
+    # of its own: at g = 32, k = 12 modes 3 and 4 are.  The 11 modes with
+    # no value below B are proved empty by one banded Cholesky each, so
+    # SuperLU factors 9 times (4 shift factorizations, 2 inertia checks of
+    # their own, the 3 nonzero counts) where it factored 20
     factors, counted = [], []
     factor, count = eigensolve._factor_symmetric, heisenberg.inertia_count
 
@@ -426,8 +434,8 @@ def test_counts_certify_later_mode_solves(monkeypatch):
         factors.append(k_csc.shape[0])
         return factor(k_csc)
 
-    def recording(a, mass, shift, step):
-        out = count(a, mass, shift, step)
+    def recording(a, mass, shift, step, band):
+        out = count(a, mass, shift, step, band=band)
         counted.append(out)
         return out
 
@@ -435,8 +443,10 @@ def test_counts_certify_later_mode_solves(monkeypatch):
     monkeypatch.setattr(heisenberg, "inertia_count", recording)
     res = kohn_spectrum(heisenberg_grid(1, 1.0, 1.0, 32), k=12)
     modes = res.meta["modes"]
-    assert len(factors) == 20 and set(factors) == {900}
+    assert len(factors) == 9 and set(factors) == {900}
+    assert [out.method for out in counted].count("band-cholesky") == 11
     assert [mode["pairs"] for mode in modes[:4]] == [6, 6, 2, 1]
+    width = modes[0]["band_halfwidth"]
     for mode, (nu, at, nnz) in zip(modes[1:], counted):
         assert mode["inertia_checked"] and mode["inertia_count"] == nu
         # modes 3 and 4 carry the count at B; mode 2 (nu > 6) its own check
@@ -445,9 +455,38 @@ def test_counts_certify_later_mode_solves(monkeypatch):
             assert mode["pairs"] == nu and mode["inertia_nnz"] == nnz
             assert mode["complete_below"] < at
         if nu == 0:
-            # an unsolved mode records the count alone, as before
+            # an unsolved mode records the count alone, and its certificate
             assert mode == {"inertia_checked": True, "inertia_count": 0, "inertia_shift": at,
-                            "inertia_nnz": nnz, "mu": mode["mu"], "dim": 900, "pairs": 0}
+                            "inertia_nnz": nnz, "inertia_method": "band-cholesky",
+                            "band_halfwidth": width, "mu": mode["mu"], "dim": 900,
+                            "pairs": 0}
+            assert nnz == (width + 1) * 900
+
+
+@pytest.mark.parametrize("g", [16, 24, 32])
+@pytest.mark.parametrize("box", [(1.0, 1.0), (3.0, 0.5), (1e-4, 1e8)])
+def test_band_certificate_matches_ldu_and_dense_counts(g, box):
+    # on every mode, just below and just above its lowest eigenvalue, the
+    # banded Cholesky proves the mode empty exactly when the LDU count and
+    # the dense count are 0; otherwise the count falls through to the LDU
+    grid = heisenberg_grid(1, *box, g)
+    mu = heisenberg._t_modes(g - 2, grid.spacings[-1])[0]
+    ops = heisenberg._mode_operators(grid, mu, heisenberg._mode_pieces(grid))
+    band = eigensolve.BandLayout.of(ops[-1])
+    for op in ops:
+        dim = op.shape[0]
+        vals = np.linalg.eigvalsh(op.toarray())
+        for shift, empty in ((1.0 - 1e-6) * vals[0], True), ((1.0 + 1e-6) * vals[0], False):
+            ldu = eigensolve.inertia_count(op, None, shift, 0.0)
+            assert band.definite(op, np.ones(dim), shift) == (ldu[0] == 0) == empty
+            assert ldu[0] == int((vals < shift).sum()) and ldu.method == "ldu"
+            out = eigensolve.inertia_count(op, None, shift, 0.0, band=band)
+            assert out.method == ("band-cholesky" if empty else "ldu")
+            assert out == ((0, shift, (band.width + 1) * dim) if empty else ldu)
+    corner = sp.csr_matrix(([1.0, 1.0], ([0, dim - 1], [dim - 1, 0])), shape=ops[0].shape)
+    other = ops[0] + corner
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        eigensolve.inertia_count(other, None, 0.0, 0.0, band=band)
 
 
 def test_incomplete_merge_is_refused(monkeypatch):
