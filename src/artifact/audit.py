@@ -243,7 +243,8 @@ def discretization_allowance(fine, coarse):
 def closed_spectra(mesh, k, seed=42):
     """Certified spectra of the three Hodge Laplacian pencils.
 
-    p = 0 and p = 2 are solved directly.  On a surface with
+    p = 0 and p = 2 are solved directly (``solve_pair``, which splits
+    them by the mesh's reflections).  On a surface with
     b1 = 2 - chi = 0 the p = 1 spectrum is derived from them (see
     ``_derived_one_forms``) and certified on the assembled p = 1 pencil
     without factoring it.  The derived values are complete at and below

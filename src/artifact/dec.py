@@ -51,7 +51,11 @@ class EigenproblemPair:
     ``potential`` is the read-only interior potential q_int assembled into
     A (zeros without a potential); it is None for Hodge pencils, whose
     rows are the cochains of ``mesh.dec`` (vertices, kept edges, dual
-    cells).
+    cells).  ``reflections`` holds involutive row permutations taken
+    from the mesh's coordinate reflections (``TriangleMesh.reflections``)
+    that the pencil may commute with; the solver checks each one on the
+    assembled pencil before it splits the pencil by them
+    (``eigensolve.sector_eigenpairs``).
     """
 
     stiffness: sp.csr_matrix
@@ -60,6 +64,7 @@ class EigenproblemPair:
     dirichlet: bool
     interior_index_map: np.ndarray
     potential: np.ndarray | None
+    reflections: tuple = ()
 
     @property
     def dim(self):
@@ -121,63 +126,107 @@ def _cotangent_weights(mesh):
 @dataclass(frozen=True)
 class DecComplex:
     """The DEC complex of one mesh on its circumcentric dual cells, read
-    as ``mesh.dec``: d0 (kept edges x vertices) and d1 (dual cells x
-    kept edges) with d1 @ d0 = 0 exactly, the stars ``star0`` (lumped
-    vertex areas) and ``star1`` (the raw cotangent weight of each kept
-    edge), ``cell_areas`` (the area of each cell's one or two triangles)
-    and the unsymmetrized 0-form stiffness d0^T star_1 d0.  ``lifts``
-    maps a kept-edge (p = 1) or cell (p = 2) cochain back onto every
-    edge or face of the mesh; it is empty when no edge is dropped, since
-    the cochains then live on the mesh's own edges and faces.  Every
-    array is read-only, so all consumers share one copy.
+    as ``mesh.dec``: d0 (kept edges x vertices), the stars ``star0``
+    (lumped vertex areas) and ``star1`` (the raw cotangent weight of each
+    kept edge) and the unsymmetrized 0-form stiffness d0^T star_1 d0.
+    Only the closed pencils read the dual cells, so only a closed mesh
+    gets them: d1 (dual cells x kept edges) with d1 @ d0 = 0 exactly,
+    ``cells`` (the cell of each face), ``cell_areas`` (the area of each
+    cell's one or two triangles) and ``lifts``, which maps a kept-edge
+    (p = 1) or cell (p = 2) cochain back onto every edge or face of the
+    mesh; ``lifts`` is empty when no edge is dropped, since the cochains
+    then live on the mesh's own edges and faces.  On a mesh with boundary
+    d1, ``cells`` and ``cell_areas`` are None and ``lifts`` is empty.
+    Every array is read-only, so all consumers share one copy.
     """
 
     d0: sp.csr_matrix
-    d1: sp.csr_matrix
+    d1: sp.csr_matrix | None
     star0: np.ndarray
     star1: np.ndarray
-    cell_areas: np.ndarray
+    cells: np.ndarray | None
+    cell_areas: np.ndarray | None
     stiffness0: sp.spmatrix
     lifts: dict
 
     @classmethod
     def of(cls, mesh):
         """Assemble the complex; ``mesh.dec`` calls this once per mesh."""
-        w, f = _cotangent_weights(mesh), mesh.num_faces
-        fe, signs = mesh.face_edges.ravel(), mesh.face_edge_signs.ravel().astype(np.float64)
-        seam = (w == 0.0) & (np.bincount(fe, minlength=mesh.num_edges) == 2)
-        # the two face sides on each seam, adjacent once sorted by edge; the
-        # lower face of the two leads their cell
-        sides = np.flatnonzero(seam[fe])
-        sides = sides[np.argsort(fe[sides], kind="stable")].reshape(-1, 2)
-        lead, other = sides.T // 3
-        if np.unique(sides // 3).size < sides.size:
-            raise MeshError("a dual cell of more than two triangles is not supported")
-        cells = np.arange(f)
-        cells[other] = lead
-        cells = np.unique(cells, return_inverse=True)[1]
-        live, index = ~seam[fe], np.cumsum(~seam) - 1
+        w = _cotangent_weights(mesh)
+        seam = (w == 0.0) & (np.bincount(mesh.face_edges.ravel(), minlength=mesh.num_edges) == 2)
         d0 = exterior_derivative(mesh, 0)[~seam]
-        d1 = sp.csr_matrix((signs[live], (np.repeat(cells, 3)[live], index[fe[live]])),
-                           shape=(cells.max() + 1, d0.shape[0]))
-        star1, cell_areas = w[~seam], np.bincount(cells, mesh.face_areas)
+        star1 = w[~seam]
         stiffness0 = d0.T @ sp.diags(star1) @ d0
+        d1 = cells = cell_areas = None
         lifts = {}
-        if len(sides):
-            # a seam's value x, with s its sign in the lead triangle, solves
-            # s x = share (r_lead + r_other) - r_lead, r being the kept part
-            # of a triangle's d1 x and share the lead's part of the cell's
-            # area: both triangles then carry the cell's d1 x / area
-            share = sp.diags(mesh.face_areas[lead] / cell_areas[cells[lead]])
-            seams = sp.diags(signs[sides[:, 0]]) @ (
-                share @ d1[cells[lead]] - exterior_derivative(mesh, 1)[lead][:, ~seam])
-            order = np.argsort(np.concatenate([np.flatnonzero(~seam), fe[sides[:, 0]]]))
-            lifts = {1: sp.vstack([sp.eye(star1.size), seams]).tocsr()[order],
-                     2: sp.csr_matrix((np.ones(f), (np.arange(f), cells)))}
-        mats = (d0, d1, stiffness0, *lifts.values())
-        for a in (star1, cell_areas, *(a for m in mats for a in (m.data, m.indices, m.indptr))):
-            a.setflags(write=False)
-        return cls(d0, d1, mesh.vertex_areas, star1, cell_areas, stiffness0, lifts)
+        if mesh.is_closed:
+            d1, cells, cell_areas, lifts = _dual_cells(mesh, seam)
+        _freeze((star1,), (d0, stiffness0))
+        return cls(d0, d1, mesh.vertex_areas, star1, cells, cell_areas, stiffness0, lifts)
+
+
+def _dual_cells(mesh, seam):
+    """d1, the cell of each face, the cell areas and the lifts of a closed
+    mesh whose edges ``seam`` have weight 0 (see ``DecComplex``)."""
+    f = mesh.num_faces
+    fe, signs = mesh.face_edges.ravel(), mesh.face_edge_signs.ravel().astype(np.float64)
+    # the two face sides on each seam, adjacent once sorted by edge; the
+    # lower face of the two leads their cell
+    sides = np.flatnonzero(seam[fe])
+    sides = sides[np.argsort(fe[sides], kind="stable")].reshape(-1, 2)
+    lead, other = sides.T // 3
+    if np.unique(sides // 3).size < sides.size:
+        raise MeshError("a dual cell of more than two triangles is not supported")
+    cells = np.arange(f)
+    cells[other] = lead
+    cells = np.unique(cells, return_inverse=True)[1]
+    live, index = ~seam[fe], np.cumsum(~seam) - 1
+    kept = int(index[-1]) + 1
+    d1 = sp.csr_matrix((signs[live], (np.repeat(cells, 3)[live], index[fe[live]])),
+                       shape=(cells.max() + 1, kept))
+    cell_areas = np.bincount(cells, mesh.face_areas)
+    lifts = {}
+    if len(sides):
+        # a seam's value x, with s its sign in the lead triangle, solves
+        # s x = share (r_lead + r_other) - r_lead, r being the kept part
+        # of a triangle's d1 x and share the lead's part of the cell's
+        # area: both triangles then carry the cell's d1 x / area
+        share = sp.diags(mesh.face_areas[lead] / cell_areas[cells[lead]])
+        seams = sp.diags(signs[sides[:, 0]]) @ (
+            share @ d1[cells[lead]] - exterior_derivative(mesh, 1)[lead][:, ~seam])
+        order = np.argsort(np.concatenate([np.flatnonzero(~seam), fe[sides[:, 0]]]))
+        lifts = {1: sp.vstack([sp.eye(kept), seams]).tocsr()[order],
+                 2: sp.csr_matrix((np.ones(f), (np.arange(f), cells)))}
+    _freeze((cells, cell_areas), (d1, *lifts.values()))
+    return d1, cells, cell_areas, lifts
+
+
+def _freeze(arrays, mats):
+    """Make the arrays and the sparse matrices' arrays read-only."""
+    for a in (*arrays, *(a for m in mats for a in (m.data, m.indices, m.indptr))):
+        a.setflags(write=False)
+
+
+def _row_reflections(mesh, p):
+    """The mesh's ``reflections`` as permutations of the rows of its
+    degree-p Hodge pencil: the vertex permutations for p = 0, and for
+    p = 2 each face permutation that maps dual cells onto cells, read
+    through ``mesh.dec.cells``.  Empty for p = 1: a reflection maps an
+    edge to an edge and may flip its orientation sign, which no row
+    permutation carries."""
+    if p == 0:
+        return tuple(vertex_perm for vertex_perm, _ in mesh.reflections)
+    if p == 1:
+        return ()
+    cells, found = mesh.dec.cells, []
+    for _, face_perm in mesh.reflections:
+        if face_perm is None:
+            continue
+        perm = np.empty(cells.max() + 1, dtype=np.intp)
+        perm[cells] = cells[face_perm]
+        if np.array_equal(perm[cells], cells[face_perm]):
+            found.append(perm)
+    return tuple(found)
 
 
 def hodge_laplacian(mesh, p):
@@ -214,7 +263,8 @@ def hodge_laplacian(mesh, p):
     else:
         a, mass = c.d1 @ sp.diags(1.0 / c.star1) @ c.d1.T, c.cell_areas
     assert_symmetric(a, what=f"hodge laplacian p={p}")
-    return EigenproblemPair(_symmetrized(a), mass, p, False, np.arange(mass.size), None)
+    return EigenproblemPair(_symmetrized(a), mass, p, False, np.arange(mass.size), None,
+                            _row_reflections(mesh, p))
 
 
 def dirichlet_laplacian(mesh, potential=None):
@@ -222,6 +272,9 @@ def dirichlet_laplacian(mesh, potential=None):
 
     Rows and columns are restricted to interior vertices:
     A = (d0^T star_1 d0)_int + M_int diag(q_int), M = star_0 restricted.
+    The mesh's vertex reflections that map interior vertices onto
+    interior vertices become the pencil's ``reflections`` on those rows;
+    a potential that breaks one is caught by the solver's check.
     """
     if mesh.is_closed:
         raise MeshError("dirichlet_laplacian needs a mesh with boundary; use hodge_laplacian")
@@ -240,4 +293,8 @@ def dirichlet_laplacian(mesh, potential=None):
     q_int.setflags(write=False)
     a = a + sp.diags(mass * q_int)
     assert_symmetric(a, what="dirichlet laplacian")
-    return EigenproblemPair(_symmetrized(a), mass, 0, True, interior, q_int)
+    row = np.full(mesh.num_vertices, -1)
+    row[interior] = np.arange(interior.size)
+    reflections = tuple(perm for perm in (row[v[interior]] for v, _ in mesh.reflections)
+                        if (perm >= 0).all())
+    return EigenproblemPair(_symmetrized(a), mass, 0, True, interior, q_int, reflections)

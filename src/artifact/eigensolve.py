@@ -19,8 +19,13 @@ band factorization breaks down.
 certified solves of its invariant subspaces and says below what shift
 they are complete, without factoring the pencil; ``merged_eigenpairs``
 lifts the picked pairs and certifies them the same way on the pencil.
+``sector_eigenpairs``, which ``solve_pair`` always calls, splits a
+pencil that commutes with given involutive row permutations (mesh
+reflections) into one small pencil per character of the group they
+generate (the symmetry-adapted basis of Fässler and Stiefel, 1992),
+solves each with ``smallest_eigenpairs`` and merges them that way.
 
-This module alone decides six things about a computed spectrum:
+This module alone decides seven things about a computed spectrum:
 the residual bound every certified pair meets (``RESIDUAL_TOL``, read
 when a pair is certified, so no caller passes a bound of its own),
 where one eigenvalue ends and the next begins (``clear_gaps``: a step
@@ -29,8 +34,12 @@ shift of a solve, the merge's fallback shift and the Kohn count shift
 ``count_shift`` all read it), where an inertia shift goes and with what
 step, how many pairs a solve can return (``max_pairs``), and below
 what bound a result is complete: every certified result records
-``meta["complete_below"]``; and which factorization certifies an
-inertia count, ``"band-cholesky"`` or ``"ldu"`` (``InertiaCount``).
+``meta["complete_below"]``; which factorization certifies an
+inertia count, ``"band-cholesky"`` or ``"ldu"`` (``InertiaCount``);
+and how a pencil splits into reflection sectors: which given row
+permutations it commutes with (``SECTOR_TOL``), how many pairs each
+sector is asked for and when a sector is asked for more
+(``sector_eigenpairs``).
 """
 
 from __future__ import annotations
@@ -46,12 +55,16 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
            "smallest_eigenpairs", "merged_selection", "merged_eigenpairs", "inertia_count",
-           "InertiaCount", "BandLayout", "solve_pair", "clear_gaps", "count_shift",
-           "max_pairs"]
+           "InertiaCount", "BandLayout", "solve_pair", "sector_eigenpairs", "clear_gaps",
+           "count_shift", "max_pairs"]
 
 DENSE_CUTOFF = 64
 # Bound on each pair's relative residual ||r|| / (||A||_inf ||x||_M).
 RESIDUAL_TOL = 1e-8
+# Largest max|P A P^T - A| / max|A|, and the same of the mass diagonal,
+# at which a pencil still splits by a row permutation P: the rounding of
+# an assembly that is symmetric on paper (about 2 eps on the icospheres).
+SECTOR_TOL = 8.0 * np.finfo(float).eps
 
 
 class EigensolveError(RuntimeError):
@@ -582,7 +595,156 @@ def merged_eigenpairs(a, mass, parts, k):
     return result
 
 
+def _invariant_group(a, m_diag, reflections):
+    """The group of row permutations generated by those ``reflections``
+    that the pencil (A, diag(``m_diag``)) commutes with.
+
+    A reflection is kept when max|P A P^T - A| is at most ``SECTOR_TOL``
+    of max|A| and max|P m - m| at most ``SECTOR_TOL`` of max m, and when
+    it commutes with the reflections kept before it and is not already
+    in the group they generate; otherwise it is dropped.  Returns the
+    (2^S, dim) array whose row s is the product of the kept reflections
+    j with bit j set in s (row 0 the identity), and the largest relative
+    deviation of a kept reflection: the pencil differs from one that
+    splits exactly by no more than that, relative to its scale.
+    """
+    dim = a.shape[0]
+    rows = np.arange(dim)
+    group, slack = rows[None, :], 0.0
+    scale = max(np.abs(a.data).max(initial=0.0), np.finfo(float).tiny)
+    for perm in reflections:
+        perm = np.asarray(perm, dtype=np.intp)
+        if (perm.shape != (dim,) or not ((perm >= 0) & (perm < dim)).all()
+                or not np.array_equal(perm[perm], rows)):
+            raise ValueError("a reflection must be an involutive permutation of the "
+                             f"{dim} rows of the pencil")
+        if ((group == perm).all(axis=1).any()
+                or not all(np.array_equal(perm[g], g[perm]) for g in group)):
+            continue
+        moved = a[perm][:, perm] - a
+        dev = max(np.abs(moved.data).max(initial=0.0) / scale,
+                  np.abs(m_diag[perm] - m_diag).max() / m_diag.max())
+        if dev <= SECTOR_TOL:
+            group, slack = np.vstack([group, perm[group]]), max(slack, dev)
+    return group, slack
+
+
+def _sector_basis(group):
+    """The +-1 orbit-sum basis of every character of ``group``.
+
+    Characters are indexed like the group rows: character c takes the
+    value (-1)^popcount(c & s) on element s.  Each orbit on whose
+    stabilizer c is trivial gives c one column, with entry chi_c(g) at
+    row g(r) for every element g, r being the least row of the orbit.
+    Columns are ordered by character, then by orbit; an orbit of size s
+    gives columns to s characters, so Q is square and invertible.  The
+    columns of one character share no row, so Q_c^T M Q_c is diagonal
+    for diagonal M.  Returns Q (CSC), the column bounds of the
+    characters, the character table and, per column, its orbit's least
+    row and size.
+    """
+    size, dim = group.shape
+    rep = group.min(axis=0)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    # the first element that carries each row's orbit representative to it
+    carrier = np.argmax(group[:, rep] == np.arange(dim), axis=0)
+    elems = np.arange(size)
+    chi = 1 - 2 * (np.bitwise_count(elems[:, None] & elems) & 1).astype(np.intp)
+    allowed = ~((chi < 0) @ (group[:, reps] == reps))
+    column = (np.cumsum(allowed) - 1).reshape(allowed.shape)
+    char, row = np.nonzero(allowed[:, orbit])
+    q = sp.csc_matrix((chi[char, carrier[row]].astype(float),
+                       (row, column[char, orbit[row]])), shape=(dim, dim))
+    bounds = np.cumsum([0, *allowed.sum(axis=1)]).tolist()
+    sizes = np.bincount(orbit)
+    return (q, bounds, chi, np.broadcast_to(reps, allowed.shape)[allowed],
+            np.broadcast_to(sizes, allowed.shape)[allowed])
+
+
+def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
+    """k smallest eigenpairs of A x = lambda M x, one sector at a time.
+
+    ``reflections`` holds involutive row permutations that the pencil
+    may commute with; ``_invariant_group`` keeps those it does, to
+    ``SECTOR_TOL``.  With none kept the result is that of
+    ``smallest_eigenpairs(a, mass, k, seed, definite)``, bit for bit.
+    Otherwise the kept ones generate a group of 2^S commuting
+    involutions, and the orbit-sum basis Q_c of each of its characters
+    (``_sector_basis``) spans an invariant subspace: all sector pencils
+    (Q_c^T A Q_c, Q_c^T M Q_c) come from one sparse product, row r of
+    sector c being |orbit| times row r of A Q_c, and are solved with
+    ``smallest_eigenpairs`` for ceil(k / sectors) + 3 pairs each.
+    ``merged_eigenpairs`` picks the k lowest, lifts them by x = Q_c y,
+    which keeps M-norms, and re-certifies them on (A, M).  When the
+    selection is incomplete, each sector whose top lies below the k-th
+    merged value is asked for twice as many pairs and solved again; a
+    sector that cannot give more leaves the whole pencil to
+    ``smallest_eigenpairs``.
+
+    ``meta`` is the merge's (``merged_selection``), with
+    ``complete_below`` the k-th value (``inf`` when k = dim), as for
+    ``smallest_eigenpairs``, and ``method: "sectors"``, ``seed``,
+    ``weyl_slack`` (the largest deviation of a kept reflection, relative
+    to the pencil's scale), ``retries`` and ``inertia_recovered`` summed
+    over the sector solves, and ``sectors``: per sector its
+    ``character`` (its value on each kept reflection), ``rows``,
+    ``pairs`` asked, ``k_solve``, ``top`` (its ``complete_below``),
+    ``inertia_count`` and ``inertia_nnz`` (None on the dense path).
+    """
+    a = sp.csr_matrix(a)
+    dim = a.shape[0]
+    m_diag = _mass_matrix(mass, dim)[1]
+    group, slack = _invariant_group(a, m_diag, reflections)
+    if len(group) == 1 or not 1 <= k <= max_pairs(dim):
+        return smallest_eigenpairs(a, mass, k=k, seed=seed, definite=definite)
+    q, bounds, chi, col_rep, col_size = _sector_basis(group)
+    product = (sp.diags(col_size.astype(float)) @ a[col_rep] @ q).tocsr()
+    sector_mass = abs(q).T @ m_diag
+    sectors = [(c, slice(lo, hi)) for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+               if hi > lo]
+    pencils = []
+    for _, cut in sectors:
+        block = product[cut, cut]
+        pencils.append((((block + block.T) * 0.5).tocsr(), sector_mass[cut]))
+    most = [max_pairs(cut.stop - cut.start) for _, cut in sectors]
+    asked = [min(-(-k // len(sectors)) + 3, top) for top in most]
+    solved = [None] * len(sectors)
+    while True:
+        for i, (op, op_mass) in enumerate(pencils):
+            if solved[i] is None or len(solved[i].eigenvalues) < asked[i]:
+                solved[i] = smallest_eigenpairs(op, op_mass, k=asked[i], seed=seed,
+                                                definite=definite)
+        tops = [res.meta["complete_below"] for res in solved]
+        parts = [(res.eigenvalues, top,
+                  lambda idx, basis=q[:, cut], y=res.eigenvectors: basis @ y[:, idx])
+                 for res, top, (_, cut) in zip(solved, tops, sectors)]
+        result = merged_eigenpairs(a, m_diag, parts, k)
+        if result is not None:
+            break
+        union = np.sort(np.concatenate([res.eigenvalues for res in solved]))
+        kth = union[k - 1] if len(union) >= k else np.inf
+        short = [i for i, top in enumerate(tops) if top < kth]
+        if any(asked[i] == most[i] for i in short):
+            return smallest_eigenpairs(a, mass, k=k, seed=seed, definite=definite)
+        for i in short:
+            asked[i] = min(2 * asked[i], most[i])
+    generators = 1 << np.arange(len(group).bit_length() - 1)
+    result.meta.update(
+        method="sectors", seed=seed, weyl_slack=slack,
+        complete_below=np.inf if k == dim else float(result.eigenvalues[-1]),
+        retries=sum(res.meta.get("retries", 0) for res in solved),
+        inertia_recovered=sum(bool(res.meta.get("inertia_recovered")) for res in solved),
+        sectors=[{"character": tuple(chi[c, generators].tolist()),
+                  "rows": cut.stop - cut.start, "pairs": pairs,
+                  "k_solve": res.meta["k_solve"], "top": res.meta["complete_below"],
+                  "inertia_count": res.meta.get("inertia_count"),
+                  "inertia_nnz": res.meta.get("inertia_nnz")}
+                 for (c, cut), pairs, res in zip(sectors, asked, solved)])
+    return result
+
+
 def solve_pair(pair, k, seed=42):
-    """Solve an assembled EigenproblemPair; Dirichlet pairs use sigma = 0."""
-    return smallest_eigenpairs(pair.stiffness, pair.mass_diag, k=k, seed=seed,
-                               definite=pair.dirichlet)
+    """Solve an assembled EigenproblemPair, split by its ``reflections``
+    (``sector_eigenpairs``); Dirichlet pairs use sigma = 0."""
+    return sector_eigenpairs(pair.stiffness, pair.mass_diag, pair.reflections, k=k,
+                             seed=seed, definite=pair.dirichlet)

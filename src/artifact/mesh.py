@@ -213,6 +213,58 @@ class TriangleMesh:
         from .dec import DecComplex
         return DecComplex.of(self)
 
+    @cached_property
+    def reflections(self):
+        """The coordinate reflections x_a -> (min x_a + max x_a) - x_a that
+        map the vertex array onto itself bitwise, found on first use.
+
+        One ``(vertex_perm, face_perm)`` pair per such axis, identities
+        left out: vertex i goes to vertex ``vertex_perm[i]``, and face f
+        to face ``face_perm[f]``, which is None when the faces do not map
+        onto faces (a grid whose diagonals all lean one way).  Each
+        permutation is an involution; an axis whose points pair up in no
+        involution is left out.  Nothing here says that a pencil of
+        the mesh commutes with them; the solver checks that.
+        """
+        def lex(rows):
+            order = np.lexsort(rows.T)
+            return order, rows[order]
+
+        def matching(order, image_order):
+            # None unless an involution: repeated points or vertex sets
+            # can pair up in more than one way
+            perm = np.empty(order.size, dtype=np.intp)
+            perm[image_order] = order
+            perm.setflags(write=False)
+            return perm if (perm[perm] == np.arange(perm.size)).all() else None
+
+        def face_keys(faces):
+            # one integer per vertex set, the sorted triple in base V (exact
+            # for V < 2**21; a wrong match would fail the solver's check)
+            a, b, c = np.sort(faces, axis=1).T
+            keys = (a * self.num_vertices + b) * self.num_vertices + c
+            order = np.argsort(keys)
+            return order, keys[order]
+
+        v_order, v_sorted = lex(self.vertices)
+        f_order, f_sorted = face_keys(self.faces)
+        found = []
+        for axis in range(self.ambient_dim):
+            col = self.vertices[:, axis]
+            image = self.vertices.copy()
+            image[:, axis] = (col.min() + col.max()) - col
+            i_order, i_sorted = lex(image)
+            if not np.array_equal(v_sorted, i_sorted):
+                continue
+            vertex_perm = matching(v_order, i_order)
+            if vertex_perm is None or (vertex_perm == np.arange(vertex_perm.size)).all():
+                continue
+            fi_order, fi_sorted = face_keys(vertex_perm[self.faces])
+            face_perm = (matching(f_order, fi_order)
+                         if np.array_equal(f_sorted, fi_sorted) else None)
+            found.append((vertex_perm, face_perm))
+        return tuple(found)
+
     def __repr__(self):
         kind = "closed" if self.is_closed else "bounded"
         return (f"TriangleMesh(V={self.num_vertices}, E={self.num_edges}, "

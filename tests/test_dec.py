@@ -11,7 +11,7 @@ from artifact.audit import audit_closed, closed_spectra, reconstruct_density
 from artifact.dec import (EigenproblemPair, _cotangent_weights, assert_symmetric,
                           dirichlet_laplacian, exterior_derivative,
                           hodge_laplacian)
-from artifact.eigensolve import cluster_slices, solve_pair
+from artifact.eigensolve import cluster_slices, smallest_eigenpairs, solve_pair
 from artifact.mesh import (MeshError, TriangleMesh, clifford_torus, flat_rectangle,
                            geodesic_cap, icosphere)
 from clamped_dec import clamped_pencil, clamped_stiffness0
@@ -59,8 +59,10 @@ def test_star1_flat_grid_cotangent_values(square16):
     """On a unit-square right-triangle grid the circumcentric edge weights
     are 1 for interior axis-aligned edges and exactly 0 for the diagonals
     (the circumcenter sits on the hypotenuse midpoint).  Each diagonal
-    leaves the complex, so star1 keeps the raw axis weights, and the two
-    triangles of each grid square form one dual cell."""
+    leaves the complex, so star1 keeps the raw axis weights.  The square
+    has a boundary, so no dual cell is built: only the closed pencils
+    read them (the two triangles of each square of a closed grid form
+    one cell: ``test_dual_cell_complex_invariants``)."""
     w = _cotangent_weights(square16)
     vecs = square16.vertices[square16.edges[:, 1]] - square16.vertices[square16.edges[:, 0]]
     diagonal = (np.abs(vecs[:, 0]) > 1e-12) & (np.abs(vecs[:, 1]) > 1e-12)
@@ -71,7 +73,7 @@ def test_star1_flat_grid_cotangent_values(square16):
     assert (w[diagonal] == 0.0).all()
     c = square16.dec
     assert np.array_equal(c.star1, w[~diagonal])
-    assert c.cell_areas.size == 16 * 16 == int(diagonal.sum())
+    assert c.d1 is None and c.cells is None and c.cell_areas is None and not c.lifts
 
 
 def test_star1_positive_everywhere(sphere3, torus16):
@@ -83,11 +85,10 @@ def test_star1_positive_everywhere(sphere3, torus16):
 
 
 @pytest.mark.parametrize("mesh, per_cell", [(clifford_torus(16, 16), 2),
-                                            (flat_rectangle(1.0, 1.0, 16, 16), 2),
                                             (icosphere(1.0, 2), 1)],
-                         ids=["clifford16", "square16", "icosphere2"])
+                         ids=["clifford16", "icosphere2"])
 def test_dual_cell_complex_invariants(mesh, per_cell):
-    """d1 d0 = 0 exactly, the cells tile the surface, and on the grids
+    """d1 d0 = 0 exactly, the cells tile the surface, and on the grid
     the two triangles of every square form one cell."""
     c = mesh.dec
     assert (c.d1 @ c.d0).nnz == 0
@@ -95,6 +96,7 @@ def test_dual_cell_complex_invariants(mesh, per_cell):
     assert c.d1.shape == (c.cell_areas.size, c.star1.size)
     assert abs(c.cell_areas.sum() - mesh.total_area) < 1e-12 * mesh.total_area
     assert c.cell_areas.size * per_cell == mesh.num_faces
+    assert np.array_equal(np.bincount(c.cells), np.full(c.cell_areas.size, per_cell))
 
 
 def test_cells_of_more_than_two_triangles_refused():
@@ -291,7 +293,8 @@ def test_p2_pencil_in_eigenvalue_units():
         pair = hodge_laplacian(mesh, 2)
         assert spla.norm(pair.stiffness, np.inf) < 100.0
         assert spla.norm(oracle(mesh).stiffness, np.inf) > 1e6
-        res = solve_pair(pair, k=22)
+        # the plain solve: solve_pair splits the icosphere pencil by its reflections
+        res = smallest_eigenpairs(pair.stiffness, pair.mass_diag, k=22)
         assert abs(res.meta["sigma"]) < 1e-4 * res.eigenvalues[1]
 
 
