@@ -62,7 +62,7 @@ import numpy as np
 from .curvature import M_DIM, curvature_data, phi_field
 # dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import CertificationError, max_pairs, merged_eigenpairs, solve_pair
+from .eigensolve import CertificationError, merged_eigenpairs, solve_pair
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -251,7 +251,7 @@ def closed_spectra(mesh, k, seed=42):
     the smaller of the top p = 0 and top p = 2 eigenvalues, which the
     inertia checks of those two solves certify; if the k-th lies above
     it, p = 0 and p = 2 are solved once more with 2k pairs (at most
-    ``max_pairs`` of their dimension), and a second shortfall raises
+    their dimension: all their pairs), and a second shortfall raises
     ``CertificationError``.  Other surfaces (the torus carries b1 = 2
     harmonic 1-forms) solve the p = 1 pencil directly.
     """
@@ -262,7 +262,7 @@ def closed_spectra(mesh, k, seed=42):
     else:
         spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k)
         if spectra[1] is None:
-            wide = {p: solve_pair(pairs[p], k=min(2 * k, max_pairs(pairs[p].dim)), seed=seed)
+            wide = {p: solve_pair(pairs[p], k=min(2 * k, pairs[p].dim), seed=seed)
                     for p in (0, 2)}
             spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k)
         if spectra[1] is None:

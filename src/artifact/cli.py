@@ -36,7 +36,7 @@ from .audit import (AUDIT_TOL, M_DIM, _check_j_max, audit_closed, audit_dirichle
                     audit_kohn, closed_spectra, discretization_allowance, emit_report)
 from .commutator import ORTHOGONALITY_REL, run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import max_pairs, solve_pair
+from .eigensolve import solve_pair
 from .heisenberg import heisenberg_grid, kohn_spectrum
 from .mesh import generate, load_mesh, save_mesh
 
@@ -82,8 +82,7 @@ def _parse_fixture(name):
 
 
 def _build_fixture(family, level):
-    suite, builder = _FIXTURES[family]
-    return builder(level), suite
+    return _FIXTURES[family][1](level)
 
 
 def _coarser_level(family, level):
@@ -101,18 +100,18 @@ def _coarser_level(family, level):
 
 def _check_pencil_sizes(family, levels, meshes, suite, k):
     """Refuse, before anything is solved, a Richardson level whose pencils
-    give fewer than k pairs (``max_pairs``): the Dirichlet pencil has a
-    row per interior vertex, the closed p = 0 and p = 2 pencils one per
-    vertex and per dual cell of ``mesh.dec``."""
+    have fewer than k rows, and so give fewer than k pairs: the Dirichlet
+    pencil has a row per interior vertex, the closed p = 0 and p = 2
+    pencils one per vertex and per dual cell of ``mesh.dec``."""
     for role, level, mesh in zip(("fine", "coarse"), levels, meshes):
         if suite == "dirichlet":
             dims = {"interior vertices": int((~mesh.boundary_vertex).sum())}
         else:
             dims = {"vertices": mesh.num_vertices, "dual cells": mesh.dec.cell_areas.size}
         for rows, dim in dims.items():
-            if max_pairs(dim) < k:
+            if dim < k:
                 raise ValueError(f"{role} level {family}{level} has {dim} {rows}: its pencil "
-                                 f"gives at most {max_pairs(dim)} eigenpairs, fewer than "
+                                 f"gives at most {dim} eigenpairs, fewer than "
                                  f"k={k}")
 
 
@@ -188,7 +187,7 @@ def _cmd_spectrum(args):
     except ValueError:
         mesh = load_mesh(args.mesh)
     else:
-        mesh, _ = _build_fixture(family, level)
+        mesh = _build_fixture(family, level)
     if args.dirichlet:
         if args.p != 0:
             raise ValueError("the Dirichlet pencil is a 0-form problem; drop -p")
@@ -212,7 +211,7 @@ def _cmd_audit(args):
     if args.suite != suite:
         raise ValueError(f"fixture {args.mesh} belongs to the {suite!r} suite")
     levels = (level, _coarser_level(family, level))  # refused before any mesh is built
-    mesh, coarse_mesh = (_build_fixture(family, lv)[0] for lv in levels)
+    mesh, coarse_mesh = (_build_fixture(family, lv) for lv in levels)
     k = args.j_max + M_DIM
     _check_pencil_sizes(family, levels, (mesh, coarse_mesh), suite, k)
 

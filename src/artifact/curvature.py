@@ -39,12 +39,6 @@ class CurvatureData:
     ``valid`` is False at boundary vertices, where the weak-form
     estimators see a truncated stencil; global statistics (sup_H2,
     inf_K) range over valid vertices only.
-
-    ``cs_defect`` is the worst violation of the trace inequality
-    2 |h|^2 >= |H|^2 over valid vertices.  Analytically it is zero;
-    discretely it is nonzero exactly where the pointwise estimators
-    disagree (irregular vertices).  Nothing in the package reads it:
-    ``phi_field`` counts its own radicand clamps.
     """
 
     H_vec: np.ndarray
@@ -52,8 +46,6 @@ class CurvatureData:
     K: np.ndarray
     h_norm2: np.ndarray
     valid: np.ndarray
-    h_clamped: int
-    cs_defect: float
 
     @property
     def sup_H2(self):
@@ -67,7 +59,6 @@ class CurvatureData:
 class PhiField(NamedTuple):
     values: np.ndarray
     sup: float
-    clamped: int
 
 
 def mean_curvature_vector(mesh):
@@ -96,10 +87,8 @@ def gaussian_curvature(mesh):
 
 
 def second_fundamental_norm(H_norm2, K):
-    """|h|^2 = max(|H|^2 - 2K, 0); returns the field and the clamp count."""
-    raw = H_norm2 - 2.0 * K
-    clamped = int((raw < 0).sum())
-    return np.maximum(raw, 0.0), clamped
+    """|h|^2 = max(|H|^2 - 2K, 0)."""
+    return np.maximum(H_norm2 - 2.0 * K, 0.0)
 
 
 def curvature_data(mesh):
@@ -107,12 +96,7 @@ def curvature_data(mesh):
     H = mean_curvature_vector(mesh)
     H2 = np.einsum("ij,ij->i", H, H)
     K = gaussian_curvature(mesh)
-    h2, clamped = second_fundamental_norm(H2, K)
-    valid = ~mesh.boundary_vertex
-    # Trace inequality 2 |h|^2 >= |H|^2: record its worst discrete violation.
-    slack = 2.0 * h2[valid] - H2[valid]
-    cs_defect = float(max(0.0, -slack.min())) if slack.size else 0.0
-    return CurvatureData(H, H2, K, h2, valid, clamped, cs_defect)
+    return CurvatureData(H, H2, K, second_fundamental_norm(H2, K), ~mesh.boundary_vertex)
 
 
 def phi_field(curv, p):
@@ -124,8 +108,8 @@ def phi_field(curv, p):
           + (1/4) |H|^2
 
     The inner radicand m|h|^2 - |H|^2 is nonnegative analytically and is
-    clamped at zero against roundoff.  Returns the field, the sup norm
-    max |phi| over valid vertices, and the clamp count.
+    clamped at zero against roundoff.  Returns the field and the sup
+    norm max |phi| over valid vertices.
 
     For p = 0 this reduces to |H|^2 / 4 exactly; on a round sphere at
     p = 1 (|H|^2 = 4, |h|^2 = 2, m = 2) it vanishes identically.
@@ -134,13 +118,11 @@ def phi_field(curv, p):
         raise ValueError(f"form degree must be 0, 1 or 2, got {p}")
     m = M_DIM
     H2, h2 = curv.H_norm2, curv.h_norm2
-    radicand = m * h2 - H2
-    n_clamped = int((radicand < 0).sum())
-    root = np.sqrt(np.maximum(radicand, 0.0))
+    root = np.sqrt(np.maximum(m * h2 - H2, 0.0))
     inner = np.sqrt((m - 1.0) * (m - 2.0)) * np.sqrt(H2) - 2.0 * root
     phi = (p * p * ((m - 5.0) / 4.0 * H2 + h2 - inner * inner / (4.0 * m * m))
            + 0.5 * np.sqrt(p) * (p - 1.0) * (H2 + h2)
            + 0.25 * H2)
     sup = float(np.abs(phi[curv.valid]).max())
-    return PhiField(phi, sup, n_clamped)
+    return PhiField(phi, sup)
 

@@ -25,16 +25,15 @@ reflections) into one small pencil per character of the group they
 generate (the symmetry-adapted basis of Fässler and Stiefel, 1992),
 solves each with ``smallest_eigenpairs`` and merges them that way.
 
-This module alone decides seven things about a computed spectrum:
+This module alone decides six things about a computed spectrum:
 the residual bound every certified pair meets (``RESIDUAL_TOL``, read
 when a pair is certified, so no caller passes a bound of its own),
 where one eigenvalue ends and the next begins (``clear_gaps``: a step
 wider than 1e-8 of the scale; the orthonormality clusters, the inertia
 shift of a solve, the merge's fallback shift and the Kohn count shift
 ``count_shift`` all read it), where an inertia shift goes and with what
-step, how many pairs a solve can return (``max_pairs``), and below
-what bound a result is complete: every certified result records
-``meta["complete_below"]``; which factorization certifies an
+step, and below what bound a result is complete: every certified
+result records ``meta["complete_below"]``; which factorization certifies an
 inertia count, ``"band-cholesky"`` or ``"ldu"`` (``InertiaCount``);
 and how a pencil splits into reflection sectors: which given row
 permutations it commutes with (``SECTOR_TOL``), how many pairs each
@@ -56,7 +55,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
            "smallest_eigenpairs", "merged_selection", "merged_eigenpairs", "inertia_count",
            "InertiaCount", "BandLayout", "solve_pair", "sector_eigenpairs", "clear_gaps",
-           "count_shift", "max_pairs"]
+           "count_shift", "check_count"]
 
 DENSE_CUTOFF = 64
 # Bound on each pair's relative residual ||r|| / (||A||_inf ||x||_M).
@@ -153,12 +152,6 @@ def cluster_slices(vals, scale):
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def max_pairs(dim):
-    """The most pairs ``smallest_eigenpairs`` returns for dimension dim:
-    all of them on the dense path, dim - 2 on the Lanczos path."""
-    return dim if dim <= DENSE_CUTOFF else dim - 2
-
-
 def smallest_eigenpairs(a, mass=None, k=6, seed=42, definite=False, inertia=None):
     """k smallest eigenpairs of A x = lambda M x with certificates.
 
@@ -168,9 +161,9 @@ def smallest_eigenpairs(a, mass=None, k=6, seed=42, definite=False, inertia=None
     mass : 1-d array_like of dim positive diagonal entries, or None
         None means the identity (standard problem).
     k : int
-        Number of pairs, at most ``max_pairs(dim)``: dim - 2 on the
-        iterative path (small problems fall back to a dense solve that
-        allows k <= dim).
+        Number of pairs, 1 <= k <= dim.  The solve is dense when
+        dim <= ``DENSE_CUTOFF`` or k > dim - 2, the most pairs the
+        Lanczos solve returns; iterative otherwise.
     seed : int
         Seeds the Lanczos starting vector; fixed seed gives
         reproducible spectra to machine precision.
@@ -183,9 +176,10 @@ def smallest_eigenpairs(a, mass=None, k=6, seed=42, definite=False, inertia=None
         ``(count, shift, nnz)`` as returned by ``inertia_count`` for this
         pencil, with count = k: the caller's count then certifies the
         solve in place of its own inertia factorization.  Exactly k
-        computed values must lie below ``shift``; otherwise the solve is
-        retried once with a deeper Krylov space, and a second mismatch
-        raises ``CertificationError``.
+        computed values must lie below ``shift``; otherwise an
+        iterative solve is retried once with a deeper Krylov space, and
+        a second mismatch, or any on the dense path, raises
+        ``CertificationError``.
 
     Every pair's relative residual must be at most ``RESIDUAL_TOL``;
     otherwise ``EigensolveError`` is raised.  A must be positive
@@ -206,37 +200,37 @@ def smallest_eigenpairs(a, mass=None, k=6, seed=42, definite=False, inertia=None
     dim = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("stiffness operator must be square")
-    if not 1 <= k <= max_pairs(dim):
-        raise ValueError(f"k={k} is not in 1..{max_pairs(dim)}, the pairs a solve of "
+    if not 1 <= k <= dim:
+        raise ValueError(f"k={k} is not in 1..{dim}, the pairs a solve of "
                          f"dimension {dim} returns")
     if inertia is not None and inertia[0] != k:
         raise ValueError(f"an inertia count certifies k={k} pairs only when it counts k "
                          f"values, got {inertia[0]}")
     m_op, m_diag = _mass_matrix(mass, dim)
 
-    if dim <= DENSE_CUTOFF:
-        vals, vecs, meta = _solve_dense(a, m_diag, k)
+    dense = dim <= DENSE_CUTOFF or k > dim - 2
+    # When the inertia count shows that a tight cluster lost a member
+    # to the Lanczos iteration (typical for exactly doubled spectra),
+    # recover once with a deeper Krylov space and re-certify everything.
+    # The dense solve returns every pair: it is never retried, and it
+    # counts only against a caller's count.
+    depths = (0,) if dense else (0, 8)
+    for extra in depths:
+        vals, vecs, meta = (_solve_dense(a, m_diag, k) if dense
+                            else _solve_arpack(a, m_op, m_diag, k, seed, definite, extra))
         vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
         residuals, pencil = _certify_residuals(a, m_diag, vals, vecs)
-        if inertia is not None:
-            meta.update(_check_count(vals, *inertia))
-    else:
-        # When the inertia count shows that a tight cluster lost a member
-        # to the Lanczos iteration (typical for exactly doubled spectra),
-        # recover once with a deeper Krylov space and re-certify everything.
-        for extra in (0, 8):
-            vals, vecs, meta = _solve_arpack(a, m_op, m_diag, k, seed, definite, extra)
-            vals, vecs = _certify_orthonormal(vals, vecs, m_diag)
-            residuals, pencil = _certify_residuals(a, m_diag, vals, vecs)
-            try:
-                meta.update(_verify_inertia(a, mass, vals, k) if inertia is None
-                            else _check_count(vals, *inertia))
-                break
-            except CertificationError:
-                if extra:
-                    raise
-        if extra:
-            meta["inertia_recovered"] = True
+        try:
+            if inertia is not None:
+                meta.update(check_count(vals, *inertia))
+            elif not dense:
+                meta.update(_verify_inertia(a, mass, vals, k))
+            break
+        except CertificationError:
+            if extra == depths[-1]:
+                raise
+    if extra:
+        meta["inertia_recovered"] = True
     if vals[0] < -1e-9 * spla.norm(a, np.inf):
         raise CertificationError(f"operator expected PSD but lambda_1 = {vals[0]:.3e}")
     result_vals = vals[:k].copy()
@@ -255,7 +249,7 @@ def _solve_dense(a, m_diag, k):
 
 def _solve_arpack(a, m_op, m_diag, k, seed, definite, extra):
     dim = a.shape[0]
-    k_solve = min(k + 4 + extra, max_pairs(dim))
+    k_solve = min(k + 4 + extra, dim - 2)  # ARPACK needs k_solve < ncv <= dim - 1
     ncv = min(dim - 1, max(3 * k_solve + 1, 40)) if extra else None
     sigma = 0.0 if definite else -1e-6 * float(a.diagonal().sum()) / dim
     if not definite and sigma == 0.0:
@@ -499,14 +493,15 @@ def _verify_inertia(a, m, vals, k):
     below it unless the iteration actually missed one -- which is
     exactly what the count detects.
     """
-    return _check_count(vals, *inertia_count(a, m, *_gap_shift(vals, k)))
+    return check_count(vals, *inertia_count(a, m, *_gap_shift(vals, k)))
 
 
-def _check_count(vals, negative, lam, nnz):
+def check_count(vals, negative, lam, nnz):
     """The inertia ``meta`` of a solve whose computed ``vals`` hold exactly
     the count ``negative`` of pencil eigenvalues below ``lam``, from a
     factorization that stored ``nnz`` entries; ``CertificationError``
-    when they do not."""
+    when they do not.  The one writer of these keys: a Kohn mode that is
+    counted empty and not solved takes its ``meta`` from here too."""
     expected = int((vals < lam).sum())
     if negative != expected:
         raise CertificationError(
@@ -673,13 +668,14 @@ def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
     (``_sector_basis``) spans an invariant subspace: all sector pencils
     (Q_c^T A Q_c, Q_c^T M Q_c) come from one sparse product, row r of
     sector c being |orbit| times row r of A Q_c, and are solved with
-    ``smallest_eigenpairs`` for ceil(k / sectors) + 3 pairs each.
-    ``merged_eigenpairs`` picks the k lowest, lifts them by x = Q_c y,
-    which keeps M-norms, and re-certifies them on (A, M).  When the
-    selection is incomplete, each sector whose top lies below the k-th
-    merged value is asked for twice as many pairs and solved again; a
-    sector that cannot give more leaves the whole pencil to
-    ``smallest_eigenpairs``.
+    ``smallest_eigenpairs`` for ceil(k / sectors) + 3 pairs each, or
+    all their rows if fewer.  ``merged_eigenpairs`` picks the k lowest,
+    lifts them by x = Q_c y, which keeps M-norms, and re-certifies them
+    on (A, M).  When the selection is incomplete, each sector whose top
+    lies below the k-th merged value is asked for twice as many pairs,
+    at most its rows, and solved again.  A sector asked for all its
+    rows returns its whole spectrum with top ``inf``, so the widening
+    ends with a complete merge; the whole pencil is never solved.
 
     ``meta`` is the merge's (``merged_selection``), with
     ``complete_below`` the k-th value (``inf`` when k = dim), as for
@@ -695,7 +691,7 @@ def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
     dim = a.shape[0]
     m_diag = _mass_matrix(mass, dim)[1]
     group, slack = _invariant_group(a, m_diag, reflections)
-    if len(group) == 1 or not 1 <= k <= max_pairs(dim):
+    if len(group) == 1 or not 1 <= k <= dim:
         return smallest_eigenpairs(a, mass, k=k, seed=seed, definite=definite)
     q, bounds, chi, col_rep, col_size = _sector_basis(group)
     product = (sp.diags(col_size.astype(float)) @ a[col_rep] @ q).tocsr()
@@ -706,8 +702,8 @@ def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
     for _, cut in sectors:
         block = product[cut, cut]
         pencils.append((((block + block.T) * 0.5).tocsr(), sector_mass[cut]))
-    most = [max_pairs(cut.stop - cut.start) for _, cut in sectors]
-    asked = [min(-(-k // len(sectors)) + 3, top) for top in most]
+    rows = [cut.stop - cut.start for _, cut in sectors]
+    asked = [min(-(-k // len(sectors)) + 3, n) for n in rows]
     solved = [None] * len(sectors)
     while True:
         for i, (op, op_mass) in enumerate(pencils):
@@ -723,11 +719,9 @@ def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
             break
         union = np.sort(np.concatenate([res.eigenvalues for res in solved]))
         kth = union[k - 1] if len(union) >= k else np.inf
-        short = [i for i, top in enumerate(tops) if top < kth]
-        if any(asked[i] == most[i] for i in short):
-            return smallest_eigenpairs(a, mass, k=k, seed=seed, definite=definite)
-        for i in short:
-            asked[i] = min(2 * asked[i], most[i])
+        for i, top in enumerate(tops):
+            if top < kth:
+                asked[i] = min(2 * asked[i], rows[i])
     generators = 1 << np.arange(len(group).bit_length() - 1)
     result.meta.update(
         method="sectors", seed=seed, weyl_slack=slack,
@@ -735,11 +729,11 @@ def sector_eigenpairs(a, mass, reflections, k, seed=42, definite=False):
         retries=sum(res.meta.get("retries", 0) for res in solved),
         inertia_recovered=sum(bool(res.meta.get("inertia_recovered")) for res in solved),
         sectors=[{"character": tuple(chi[c, generators].tolist()),
-                  "rows": cut.stop - cut.start, "pairs": pairs,
+                  "rows": n, "pairs": pairs,
                   "k_solve": res.meta["k_solve"], "top": res.meta["complete_below"],
                   "inertia_count": res.meta.get("inertia_count"),
                   "inertia_nnz": res.meta.get("inertia_nnz")}
-                 for (c, cut), pairs, res in zip(sectors, asked, solved)])
+                 for (c, _), n, pairs, res in zip(sectors, rows, asked, solved)])
     return result
 
 

@@ -47,8 +47,8 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import (BandLayout, CertificationError, count_shift, inertia_count,
-                         merged_selection, smallest_eigenpairs)
+from .eigensolve import (BandLayout, CertificationError, check_count, count_shift,
+                         inertia_count, merged_selection, smallest_eigenpairs)
 
 __all__ = ["HeisenbergGrid", "heisenberg_grid", "build_kohn_laplacian", "kohn_spectrum"]
 
@@ -355,8 +355,8 @@ def kohn_spectrum(grid, k=12, seed=42):
             res = smallest_eigenpairs(op, None, k=pairs, seed=seed, definite=True,
                                       inertia=None if top is None else counted)
             top = res.meta["complete_below"] if top is None else top
-        meta = res.meta if pairs else {"inertia_checked": True, "inertia_count": 0,
-                                       "inertia_shift": top, "inertia_nnz": counted[2]}
+        # an unsolved mode: its count 0 checked against no computed values
+        meta = res.meta if pairs else check_count(np.empty(0), *counted)
         # each value twice: the Re and the Im part of its lift
         values.append(np.repeat(res.eigenvalues, 2) if pairs else np.empty(0))
         tops.append(top)

@@ -88,6 +88,15 @@ def test_spectrum_potential_csv(tmp_path):
                  "--q", str(oob)]) == 1
 
 
+def test_spectrum_returns_every_pair(tmp_path):
+    # square16 has 15^2 = 225 interior vertices, more than Lanczos returns
+    out = tmp_path / "all.json"
+    assert main(["spectrum", "--mesh", "square16", "--dirichlet", "-k", "225",
+                 "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["eigenvalues"]
+    assert len(values) == 225 and np.all(np.diff(values) >= 0.0)
+
+
 def test_spectrum_usage_errors(tmp_path, capsys):
     # Dirichlet pencil is 0-form only; --q needs --dirichlet
     assert main(["spectrum", "--mesh", "square8", "--dirichlet", "-p", "1"]) == 1

@@ -153,9 +153,18 @@ def test_short_union_widens_once(monkeypatch, sphere2):
     direct = solve_pair(hodge_laplacian(sphere2, 1), k=4).eigenvalues
     assert np.abs(spectra[1].eigenvalues - direct).max() < 1e-12 * direct.max()
 
-    monkeypatch.setattr(artifact.audit, "max_pairs", lambda dim: 4)  # 2k // 2 at k = 4
+    # a second shortfall: the derivation sees only the first k pairs again
+    derive, narrow = artifact.audit._derived_one_forms, []
+
+    def without_the_wide_solves(mesh, pair1, spec0, spec2, k):
+        narrow[:] = narrow or [spec0, spec2]
+        return derive(mesh, pair1, *narrow, k)
+
+    monkeypatch.setattr(artifact.audit, "_derived_one_forms", without_the_wide_solves)
+    calls.clear()
     with pytest.raises(CertificationError, match="completeness bound"):
         closed_spectra(sphere2, k=4)
+    assert calls == [(0, 4), (2, 4), (0, 8), (2, 8)]
 
 
 def test_whole_source_spectra_are_complete(tetra):

@@ -52,8 +52,6 @@ def test_torus_fields(torus32):
     assert np.abs(curv.H_norm2 - 4.0).max() < 1e-6
     assert np.abs(curv.K).max() < 1e-9
     assert np.abs(curv.h_norm2 - 4.0).max() < 1e-6
-    assert curv.cs_defect == 0.0
-    assert curv.h_clamped == 0
 
 
 def test_flat_rectangle_fields(square16):
@@ -61,16 +59,6 @@ def test_flat_rectangle_fields(square16):
     assert (curv.valid == ~square16.boundary_vertex).all()
     assert np.abs(curv.H_norm2[curv.valid]).max() < 1e-18
     assert np.abs(curv.K[curv.valid]).max() < 1e-9
-    assert curv.cs_defect < 1e-18
-    raw = curv.H_norm2 - 2.0 * gaussian_curvature(square16)
-    assert curv.h_clamped == int((raw < 0).sum())
-
-
-def test_sphere_cs_defect_recorded(sphere3):
-    # border case of the trace inequality: equality holds on the continuum
-    # sphere, so roundoff puts a small violation on the recorded side
-    curv = curvature_data(sphere3)
-    assert 0.0 < curv.cs_defect < 0.2
 
 
 def test_phi_p0_is_quarter_H2(sphere2):
@@ -92,11 +80,9 @@ def test_phi_exact_sphere_fields():
     n = 5
     curv = CurvatureData(
         H_vec=np.zeros((n, 3)), H_norm2=np.full(n, 4.0), K=np.ones(n),
-        h_norm2=np.full(n, 2.0), valid=np.ones(n, dtype=bool),
-        h_clamped=0, cs_defect=0.0)
+        h_norm2=np.full(n, 2.0), valid=np.ones(n, dtype=bool))
     assert phi_field(curv, 1).sup < 1e-12
     assert abs(phi_field(curv, 2).sup - (3.0 * SQRT2 - 3.0)) < 1e-12
-    assert phi_field(curv, 1).clamped == 0
 
 
 def test_phi_invalid_degree(sphere2):

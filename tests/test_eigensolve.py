@@ -53,6 +53,18 @@ def test_chain_oracle_dense_path_full_spectrum():
     assert np.abs(res.eigenvalues - exact).max() < 1e-10 * exact[-1]
 
 
+@pytest.mark.parametrize("k", [99, 100])
+def test_more_pairs_than_lanczos_gives_come_from_the_dense_solve(k):
+    # dim = 100 > DENSE_CUTOFF, but Lanczos returns at most dim - 2 pairs
+    a = dirichlet_chain(100)
+    res = smallest_eigenpairs(a, k=k, definite=True)
+    ref = eigh(a.toarray(), eigvals_only=True)[:k]
+    assert res.meta["method"] == "dense"
+    assert np.abs(res.eigenvalues - ref).max() < 1e-12 * ref[-1]
+    assert res.meta["complete_below"] == (np.inf if k == 100 else res.eigenvalues[-1])
+    assert smallest_eigenpairs(a, k=98, definite=True).meta["method"] == "shift-invert"
+
+
 def test_generalized_uniform_mass_rescales():
     n, k, c = 90, 6, 2.5
     a = dirichlet_chain(n)
@@ -76,9 +88,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, k=0)
     with pytest.raises(ValueError):
-        smallest_eigenpairs(a, k=11)  # dense path caps k at dim
+        smallest_eigenpairs(a, k=11)  # k = dim + 1
     with pytest.raises(ValueError):
-        smallest_eigenpairs(dirichlet_chain(100), k=99)  # iterative cap dim - 2
+        smallest_eigenpairs(dirichlet_chain(100), k=101)
     with pytest.raises(ValueError):
         smallest_eigenpairs(sp.csr_matrix(np.ones((2, 3))))
     with pytest.raises(ValueError):
@@ -606,8 +618,9 @@ def test_one_clear_gap_rule_one_pair_limit():
     # Only eigensolve decides where one computed eigenvalue ends and the
     # next begins: the threshold 1e-8 * scale is written in clear_gaps
     # alone, and no other module scales anything by 1e-8 (dec clamps no
-    # Hodge star).  heisenberg takes no gaps of its own, and audit caps
-    # k through max_pairs, not through the dense cutoff.
+    # Hodge star).  heisenberg takes no gaps of its own.  Only eigensolve
+    # knows how many pairs a solve returns: no other module names the
+    # dense cutoff, and no module keeps a pair limit of its own.
     owners = set()
     for path in sorted((SRC / "artifact").glob("*.py")):
         text = path.read_text()
@@ -620,6 +633,16 @@ def test_one_clear_gap_rule_one_pair_limit():
     assert owners == {("eigensolve", "clear_gaps")}
     heis = ast.parse((SRC / "artifact" / "heisenberg.py").read_text())
     assert not [n for n in ast.walk(heis) if isinstance(n, ast.Attribute) and n.attr == "diff"]
-    audit = ast.parse((SRC / "artifact" / "audit.py").read_text())
-    assert "DENSE_CUTOFF" not in {alias.name for n in ast.walk(audit)
-                                  if isinstance(n, ast.ImportFrom) for alias in n.names}
+    for path in sorted((SRC / "artifact").glob("*.py")):
+        names = set()
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.ImportFrom, ast.Import)):
+                names.update(alias.name for alias in n.names)
+            elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                names.add(n.name)
+            elif isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+        assert "max_pairs" not in names, path.name
+        assert path.stem == "eigensolve" or "DENSE_CUTOFF" not in names, path.name

@@ -182,11 +182,11 @@ MESH_ARRAYS = ("vertices", "faces", "edges", "face_edges", "face_edge_signs",
 def test_mesh_build_matches_loop_oracle_bitwise(family, levels, monkeypatch):
     """The vectorized midpoint numbering and edge keys build bitwise the
     meshes of the per-edge loop and the row-wise unique."""
-    built = {lvl: _build_fixture(family, lvl)[0] for lvl in levels}
+    built = {lvl: _build_fixture(family, lvl) for lvl in levels}
     monkeypatch.setattr(artifact.mesh, "_subdivide_on_sphere", subdivide_on_sphere_loop)
     monkeypatch.setattr(TriangleMesh, "_build_edges", build_edges_axis0)
     for lvl in levels:
-        oracle = _build_fixture(family, lvl)[0]
+        oracle = _build_fixture(family, lvl)
         for name in MESH_ARRAYS:
             got, want = getattr(built[lvl], name), getattr(oracle, name)
             assert got.dtype == want.dtype and got.shape == want.shape, (lvl, name)
@@ -206,7 +206,7 @@ def test_side_gram_geometry_matches_corner_oracle(family, levels):
     where both forms are 2.9e-14 of the face's largest entry off the
     mass in exact arithmetic."""
     for lvl in levels:
-        mesh = _build_fixture(family, lvl)[0]
+        mesh = _build_fixture(family, lvl)
         assert np.array_equal(mesh.face_areas, geometry_oracle.face_areas(mesh)), lvl
         assert np.array_equal(_cotangent_weights(mesh),
                               geometry_oracle.cotangent_weights(mesh)), lvl

@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from artifact import eigensolve
 from artifact.dec import dirichlet_laplacian, hodge_laplacian
-from artifact.eigensolve import max_pairs, sector_eigenpairs, smallest_eigenpairs, solve_pair
+from artifact.eigensolve import sector_eigenpairs, smallest_eigenpairs, solve_pair
 from artifact.mesh import clifford_torus, flat_rectangle, geodesic_cap, icosphere
 
 PENCILS = {
@@ -167,7 +167,7 @@ def test_random_invariant_pencils_match_dense(pairs, fixed, coupled, k, data_see
     rng = np.random.default_rng(data_seed)
     a, mass, perm = invariant_pencil(rng, pairs, fixed, coupled)
     assert np.array_equal(a[perm][:, perm].toarray(), a.toarray())
-    k = min(k, max_pairs(a.shape[0]))
+    k = min(k, a.shape[0])
     res = sector_eigenpairs(a, mass, [perm], k=k)
     assert sector_count(res) == 2 and res.meta["weyl_slack"] == 0.0
     ref = eigh(a.toarray(), np.diag(mass), eigvals_only=True)
@@ -203,11 +203,15 @@ def test_a_short_sector_is_widened(monkeypatch):
     assert np.abs(res.eigenvalues - w[:12]).max() < 1e-12
 
 
-def test_a_sector_that_cannot_widen_leaves_the_pencil_to_the_plain_solve(monkeypatch):
-    # k = 128 of 130 rows: each 65-row sector gives at most 63 pairs
+@pytest.mark.parametrize("k", [128, 130])
+def test_a_sector_asked_for_all_its_rows_returns_its_whole_spectrum(monkeypatch, k):
+    # ceil(k / 2) + 3 exceeds the 65 rows of each sector: each is solved
+    # whole (dense, past Lanczos' 63 pairs), and the whole pencil never
     a, mass, perm = invariant_pencil(np.random.default_rng(1), 65, 0, True)
-    k = max_pairs(a.shape[0])
     calls = recorded_solves(monkeypatch)
     res = sector_eigenpairs(a, mass, [perm], k=k)
-    assert calls == [(65, 63), (65, 63), (130, k)]
-    assert same_result(res, smallest_eigenpairs(a, mass, k=k))
+    assert calls == [(65, 65), (65, 65)]
+    assert [s["top"] for s in res.meta["sectors"]] == [np.inf, np.inf]
+    ref = eigh(a.toarray(), np.diag(mass), eigvals_only=True)
+    assert np.abs(res.eigenvalues - ref[:k]).max() < 1e-12 * ref[-1]
+    assert res.meta["complete_below"] == (np.inf if k == 130 else res.eigenvalues[-1])
