@@ -33,11 +33,12 @@ group H^n adds heisenberg-sum: sum_{l<=n} lam_{j+l} <= (n+2) lam_j,
 with scale lam_{j_max+n} and allowance 0.
 
 Each audit builds its records only from what it is given: the closed
-catalog reads the solved Hodge spectra (``closed_spectra``, which on a
-genus-0 mesh derives the p = 1 spectrum from the p = 0 and p = 2
-solves instead of factoring the p = 1 pencil), the
-Dirichlet catalog reads the assembled pencil, which carries its own
-potential, and its solved spectrum.  All three return a list of records.
+catalog reads the solved Hodge spectra (``closed_spectra``, which on
+every closed mesh derives the p = 1 spectrum from the p = 0 and p = 2
+solves and the mesh's harmonic 1-forms instead of factoring the p = 1
+pencil), the Dirichlet catalog reads the assembled pencil, which
+carries its own potential, and its solved spectrum.  All three return
+a list of records.
 
 A record passes when lhs <= rhs + (tol_audit + allowance) * scale with
 scale = max(|lhs|, |rhs|, top audited eigenvalue); the additive form
@@ -62,7 +63,7 @@ import numpy as np
 from .curvature import M_DIM, curvature_data, phi_field
 # dirichlet_laplacian is unused here; perfbench/spans.py rebinds it by name.
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import CertificationError, merged_eigenpairs, solve_pair
+from .eigensolve import CertificationError, grounded_solver, merged_eigenpairs, solve_pair
 
 __all__ = ["AuditError", "DensityField", "reconstruct_density",
            "integrate_against", "whitney_face_mass", "discretization_allowance",
@@ -244,69 +245,94 @@ def closed_spectra(mesh, k, seed=42):
     """Certified spectra of the three Hodge Laplacian pencils.
 
     p = 0 and p = 2 are solved directly (``solve_pair``, which splits
-    them by the mesh's reflections).  On a surface with
-    b1 = 2 - chi = 0 the p = 1 spectrum is derived from them (see
+    them by the mesh's reflections), for k pairs each, at least b0 + 1
+    and at most their dimension.  The p = 1 spectrum is derived from
+    them and from the mesh's b1 harmonic 1-forms (see
     ``_derived_one_forms``) and certified on the assembled p = 1 pencil
     without factoring it.  The derived values are complete at and below
     the smaller of the top p = 0 and top p = 2 eigenvalues, which the
-    inertia checks of those two solves certify; if the k-th lies above
-    it, p = 0 and p = 2 are solved once more with 2k pairs (at most
-    their dimension: all their pairs), and a second shortfall raises
-    ``CertificationError``.  Other surfaces (the torus carries b1 = 2
-    harmonic 1-forms) solve the p = 1 pencil directly.
+    inertia checks of those two solves certify; while the k-th lies
+    above it, p = 0 and p = 2 are solved again with twice as many pairs,
+    at most their dimension.  A solve of all its rows has no top, so the
+    widening ends.  The returned p = 0 and p = 2 spectra are the first
+    solves.  1 <= k <= dim of the p = 1 pencil, or ``ValueError``.
     """
     pairs = {p: hodge_laplacian(mesh, p) for p in (0, 1, 2)}
-    spectra = {p: solve_pair(pairs[p], k=k, seed=seed) for p in (0, 2)}
-    if mesh.euler_characteristic != 2:  # b1 = 2 - chi harmonic 1-forms
-        spectra[1] = solve_pair(pairs[1], k=k, seed=seed)
-    else:
-        spectra[1] = _derived_one_forms(mesh, pairs[1], spectra[0], spectra[2], k)
-        if spectra[1] is None:
-            wide = {p: solve_pair(pairs[p], k=min(2 * k, pairs[p].dim), seed=seed)
-                    for p in (0, 2)}
-            spectra[1] = _derived_one_forms(mesh, pairs[1], wide[0], wide[2], k)
-        if spectra[1] is None:
-            raise CertificationError(
-                f"fewer than k={k} derived 1-form eigenvalues lie below the "
-                "completeness bound, even from 2k pairs of p=0 and p=2")
-    return dict(sorted(spectra.items()))
+    if not 1 <= k <= pairs[1].dim:
+        raise ValueError(f"k={k} is not in 1..{pairs[1].dim}, the 1-form pairs of the mesh")
+    asks = {p: min(max(k, mesh.num_components + 1), pairs[p].dim) for p in (0, 2)}
+    spectra = sources = {p: solve_pair(pairs[p], k=n, seed=seed) for p, n in asks.items()}
+    harmonic = _harmonic_one_forms(mesh, pairs, seed)
+    while (one_forms := _derived_one_forms(mesh, pairs[1], sources, harmonic, k)) is None:
+        asks = {p: min(2 * n, pairs[p].dim) for p, n in asks.items()}
+        sources = {p: solve_pair(pairs[p], k=n, seed=seed) for p, n in asks.items()}
+    return {0: spectra[0], 1: one_forms, 2: spectra[2]}
 
 
-def _derived_one_forms(mesh, pair1, spec0, spec2, k):
-    """The k lowest p = 1 pairs of a genus-0 mesh, mapped from p = 0 and p = 2.
+def _harmonic_one_forms(mesh, pairs, seed):
+    """The b1 = 2 b0 - chi harmonic 1-cochains h of a closed mesh as
+    star1-orthonormal columns: d1 h = 0 and d0^T star1 h = 0.
+
+    b1 seeded random cochains r lose their exact part d0 u and their
+    coexact part star1^-1 d1^T y, where u and y solve the p = 0 and
+    p = 2 stiffness systems A0 u = d0^T star1 r and A2 y = d1 r with one
+    row fixed at 0 per connected component (``grounded_solver``), and
+    what is left is orthonormalized in the star1 inner product.  This is
+    done twice: the rounding error of the first pass is of the size of
+    the parts it removes, most of r, and the second pass removes it.
+    With b1 = 0 nothing is factored.
+    """
+    c = mesh.dec
+    b1 = 2 * mesh.num_components - mesh.euler_characteristic
+    h = np.random.default_rng(seed).standard_normal((c.star1.size, b1))
+    if b1 == 0:
+        return h
+    # the first face of each component grounds its first corner and its cell
+    faces = np.unique(mesh.vertex_component[mesh.faces[:, 0]], return_index=True)[1]
+    solve0 = grounded_solver(pairs[0].stiffness, mesh.faces[faces, 0])
+    solve2 = grounded_solver(pairs[2].stiffness, c.cells[faces])
+    star1 = c.star1[:, None]
+    for _ in range(2):
+        h = h - c.d0 @ solve0(c.d0.T @ (star1 * h)) - c.d1.T @ solve2(c.d1 @ h) / star1
+        h = np.linalg.qr(np.sqrt(star1) * h)[0] / np.sqrt(star1)
+    return h
+
+
+def _derived_one_forms(mesh, pair1, sources, harmonic, k):
+    """The k lowest p = 1 pairs of a closed mesh, mapped from the p = 0
+    and p = 2 solves in ``sources`` and the ``harmonic`` forms.
 
     With diagonal stars and d1 d0 = 0 the p = 1 pencil is the exact part
-    plus the coexact part, so each nonzero p = 0 pair (lam, u) gives
-    w = d0 u / sqrt(lam) and each nonzero p = 2 pair (lam, y) of the
+    plus the coexact part plus the harmonic forms (the discrete Hodge
+    decomposition), so each nonzero p = 0 pair (lam, u) gives
+    w = d0 u / sqrt(lam), each nonzero p = 2 pair (lam, y) of the
     dual-graph pencil gives w = star1^-1 d1^T y / sqrt(lam), both
-    star1-normalised, and
-    b1 = 0 leaves no harmonic forms.  ``merged_eigenpairs`` takes the k
-    lowest mapped pairs, bounded by the ``meta["complete_below"]`` of
-    the p = 0 and p = 2 solves (their top eigenvalue, or ``inf`` for a
-    solve that returned its whole spectrum), and re-certifies them on
-    ``pair1`` without factoring it; it returns None when the k-th lies
-    above the bound.  Since b1 = 0 the inertia count
-    below any shift under the bound is (nu0 - 1) + (nu2 - 1), read off
+    star1-normalised, and each of the b1 harmonic forms gives a pair
+    (0, h).  Each source must count b0 zero eigenvalues, one per
+    connected component, or ``CertificationError`` is raised; its
+    nonzero pairs follow them.  ``merged_eigenpairs`` takes the k lowest
+    mapped pairs, bounded by the ``meta["complete_below"]`` of the p = 0
+    and p = 2 solves (their top eigenvalue, or ``inf`` for a solve that
+    returned its whole spectrum; the harmonic forms are all of theirs),
+    and re-certifies them on ``pair1`` without factoring it; it returns
+    None when the k-th lies above the bound.  The inertia count below
+    any shift under the bound is (nu0 - b0) + (nu2 - b0) + b1, read off
     the two inertia-certified solves.
     """
-    for p, spec in ((0, spec0), (2, spec2)):
-        if spec.zero_count != 1:
+    b0, c = mesh.num_components, mesh.dec
+    for p, spec in sources.items():
+        if spec.zero_count != b0:
             raise CertificationError(
-                f"p={p} solve counts {spec.zero_count} zero eigenvalues; deriving the "
-                "1-form spectrum needs b0 = b2 = 1 (one closed genus-0 surface)")
-    c = mesh.dec
-    lam0, lam2 = spec0.eigenvalues[1:], spec2.eigenvalues[1:]
-
-    def exact(idx):
-        return (c.d0 @ spec0.eigenvectors[:, 1 + idx]) / np.sqrt(lam0[idx])
-
-    def coexact(idx):
-        return (c.d1.T @ spec2.eigenvectors[:, 1 + idx]) \
-            / (c.star1[:, None] * np.sqrt(lam2[idx]))
-
-    tops = [spec.meta["complete_below"] for spec in (spec0, spec2)]
-    result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag,
-                               list(zip((lam0, lam2), tops, (exact, coexact))), k)
+                f"p={p} solve counts {spec.zero_count} zero eigenvalues, not one per "
+                f"connected component (b0 = {b0}); the 1-form spectrum is not derived")
+    (lam0, vec0), (lam2, vec2) = ((spec.eigenvalues[b0:], spec.eigenvectors[:, b0:])
+                                  for spec in sources.values())
+    parts = [(lam0, sources[0].meta["complete_below"],
+              lambda idx: c.d0 @ vec0[:, idx] / np.sqrt(lam0[idx])),
+             (lam2, sources[2].meta["complete_below"],
+              lambda idx: c.d1.T @ vec2[:, idx] / (c.star1[:, None] * np.sqrt(lam2[idx]))),
+             (np.zeros(harmonic.shape[1]), np.inf, lambda idx: harmonic[:, idx])]
+    result = merged_eigenpairs(pair1.stiffness, pair1.mass_diag, parts, k)
     if result is not None:
         result.meta.update(method="derived", sources=(0, 2))
     return result

@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Subcommands: ``mesh gen`` (write a fixture to OFF), ``spectrum``
-(certified low eigenvalues of one pencil), ``audit`` (inequality suite
+(certified low eigenvalues of one pencil; the closed p = 1 spectrum is
+derived as in ``audit.closed_spectra``), ``audit`` (inequality suite
 with a two-refinement discretization allowance), ``heisenberg`` (Kohn
 sublaplacian spectrum and audit on a box), ``lemma-check`` (randomized
 commutator identity trials).
@@ -36,7 +37,7 @@ from .audit import (AUDIT_TOL, M_DIM, _check_j_max, audit_closed, audit_dirichle
                     audit_kohn, closed_spectra, discretization_allowance, emit_report)
 from .commutator import ORTHOGONALITY_REL, run_trials
 from .dec import dirichlet_laplacian, hodge_laplacian
-from .eigensolve import solve_pair
+from .eigensolve import CertificationError, solve_pair
 from .heisenberg import heisenberg_grid, kohn_spectrum
 from .mesh import generate, load_mesh, save_mesh
 
@@ -192,12 +193,13 @@ def _cmd_spectrum(args):
         if args.p != 0:
             raise ValueError("the Dirichlet pencil is a 0-form problem; drop -p")
         q = _load_potential(args.q, mesh) if args.q else None
-        pair = dirichlet_laplacian(mesh, q)
+        result = solve_pair(dirichlet_laplacian(mesh, q), k=args.k, seed=args.seed)
+    elif args.q:
+        raise ValueError("--q requires --dirichlet")
+    elif args.p == 1:
+        result = closed_spectra(mesh, args.k, seed=args.seed)[1]
     else:
-        if args.q:
-            raise ValueError("--q requires --dirichlet")
-        pair = hodge_laplacian(mesh, args.p)
-    result = solve_pair(pair, k=args.k, seed=args.seed)
+        result = solve_pair(hodge_laplacian(mesh, args.p), k=args.k, seed=args.seed)
     payload = result.to_json_dict(args.p)
     payload["dirichlet"] = bool(args.dirichlet)
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -246,7 +248,10 @@ def _cmd_heisenberg(args):
     _check_j_max(args.j_max)
     grid = heisenberg_grid(args.n, args.box[0], args.box[1], args.grid)
     k = max(args.k, args.j_max + args.n)
-    result = kohn_spectrum(grid, k=k, seed=args.seed)
+    try:
+        result = kohn_spectrum(grid, k=k, seed=args.seed)
+    except CertificationError as exc:
+        raise CertificationError(f"box a={grid.a}, T={grid.T} on g={grid.g} nodes: {exc}") from exc
     records = audit_kohn(result.eigenvalues, args.n, args.j_max,
                          tol_audit=args.tol_audit)
     name = f"heisenberg-n{args.n}"

@@ -24,6 +24,8 @@ pencil that commutes with given involutive row permutations (mesh
 reflections) into one small pencil per character of the group they
 generate (the symmetry-adapted basis of Fässler and Stiefel, 1992),
 solves each with ``smallest_eigenpairs`` and merges them that way.
+``grounded_solver`` solves a Laplacian with one row per connected
+component fixed at 0, on the same factorization as every solve.
 
 This module alone decides six things about a computed spectrum:
 the residual bound every certified pair meets (``RESIDUAL_TOL``, read
@@ -55,7 +57,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 __all__ = ["SpectrumResult", "EigensolveError", "CertificationError",
            "smallest_eigenpairs", "merged_selection", "merged_eigenpairs", "inertia_count",
            "InertiaCount", "BandLayout", "solve_pair", "sector_eigenpairs", "clear_gaps",
-           "count_shift", "check_count"]
+           "count_shift", "check_count", "grounded_solver"]
 
 DENSE_CUTOFF = 64
 # Bound on each pair's relative residual ||r|| / (||A||_inf ||x||_M).
@@ -126,6 +128,25 @@ def _factor_symmetric(k_csc):
         relax=1,
         options=dict(SymmetricMode=True),
     )
+
+
+def grounded_solver(a, ground):
+    """Solver of A x = rhs for the x that is 0 on the rows ``ground``.
+
+    A is a symmetric Laplacian whose kernel holds one constant per
+    connected component and ``ground`` one row of each component; each
+    column of a right-hand side must sum to 0 over every component.
+    The rows and columns of ``ground`` are replaced by those of the
+    identity, and the result is factored once with
+    ``_factor_symmetric``; the returned function solves with it for all
+    columns of ``rhs`` at once, after setting their grounded rows to 0.
+    Each grounded row of A x = rhs then holds too, as the rows of a
+    component sum to 0.
+    """
+    free = np.ones(a.shape[0])
+    free[ground] = 0.0
+    lu = _factor_symmetric(sp.csc_matrix(sp.diags(free) @ a @ sp.diags(free) + sp.diags(1 - free)))
+    return lambda rhs: lu.solve(free[:, None] * rhs)
 
 
 def _zero_count(vals):

@@ -68,6 +68,9 @@ class TriangleMesh:
     face_areas, vertex_areas : (F,) and (V,) ndarrays of float
         Triangle areas and barycentric lumped vertex areas (one third of
         every incident face area); ``total_area`` is their common sum.
+    num_components, vertex_component : int and (V,) ndarray of int
+        On a closed mesh, its count b0 of connected components and the
+        component of each vertex; None on a mesh with boundary.
     """
 
     def __init__(self, vertices, faces):
@@ -187,6 +190,7 @@ class TriangleMesh:
         self.total_area = float(areas.sum())
 
     def _validate_topology(self):
+        self.num_components = self.vertex_component = None
         if not self.is_closed:
             return
         # imported here: loading csgraph costs every CLI start a few ms
@@ -204,6 +208,8 @@ class TriangleMesh:
         chi = chi_v - chi_e + chi_f
         if ((chi % 2 != 0) | (chi > 2)).any():
             raise MeshError(f"closed mesh component with invalid Euler characteristic {chi.tolist()}")
+        label.setflags(write=False)
+        self.num_components, self.vertex_component = int(n_comp), label
 
     # -- derived operators -----------------------------------------------
 

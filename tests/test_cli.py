@@ -8,9 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh
+
 import artifact.cli
 from artifact.cli import main
-from artifact.mesh import load_mesh
+from artifact.dec import hodge_laplacian
+from artifact.mesh import clifford_torus, load_mesh
 
 
 def test_mesh_gen_writes_loadable_off(tmp_path, capsys):
@@ -95,6 +98,20 @@ def test_spectrum_returns_every_pair(tmp_path):
                  "--out", str(out)]) == 0
     values = json.loads(out.read_text())["eigenvalues"]
     assert len(values) == 225 and np.all(np.diff(values) >= 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_closed_one_form_spectrum_is_derived(tmp_path, n):
+    # 60 pairs of clifford8 need every p = 0 and p = 2 pair of its 64
+    # vertices and 64 cells; a direct p = 1 solve was refused there
+    out = tmp_path / "p1.json"
+    assert main(["spectrum", "--mesh", f"clifford{n}", "-p", "1", "-k", "60",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["p"] == 1 and payload["zero_count"] == 2
+    pair = hodge_laplacian(clifford_torus(n, n), 1)
+    dense = eigh(pair.stiffness.toarray(), np.diag(pair.mass_diag), eigvals_only=True)[:60]
+    assert np.abs(np.array(payload["eigenvalues"]) - dense).max() < 1e-10 * dense[-1]
 
 
 def test_spectrum_usage_errors(tmp_path, capsys):
@@ -199,6 +216,14 @@ def test_heisenberg_refuses_an_overflowing_box(box, capsys, monkeypatch):
                         lambda *a, **kw: pytest.fail("solved an overflowing box"))
     assert main(["heisenberg", "--n", "1", "--box", box, "1", "--grid", "16"]) == 1
     assert "overflows the operator" in capsys.readouterr().err
+
+
+def test_heisenberg_refusal_names_the_box(capsys):
+    # every coefficient is finite, but (x/2)^2/h_t^2 is about 1e301
+    assert main(["heisenberg", "--n", "1", "--box", "1e150", "1", "--grid", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("artifact: error: box a=1e+150, T=1.0 on g=16 nodes: ")
+    assert "certificate failed" in err
 
 
 @pytest.mark.parametrize("argv", [

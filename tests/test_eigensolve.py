@@ -14,8 +14,9 @@ from artifact.eigensolve import (DENSE_CUTOFF, CertificationError,
                                  EigensolveError, SpectrumResult,
                                  _certify_orthonormal, _certify_residuals,
                                  _factor_symmetric, _gap_shift, _solve_dense,
-                                 _verify_inertia, count_shift, inertia_count,
-                                 merged_eigenpairs, smallest_eigenpairs, solve_pair)
+                                 _verify_inertia, count_shift, grounded_solver,
+                                 inertia_count, merged_eigenpairs, smallest_eigenpairs,
+                                 solve_pair)
 from artifact.heisenberg import heisenberg_grid, kohn_spectrum
 from artifact.mesh import icosphere
 
@@ -283,6 +284,23 @@ def test_no_module_imports_private_eigensolve_names():
         assert not private, (path.name, private)
 
 
+def test_grounded_solver_on_two_components():
+    # two path-graph Laplacians side by side: the kernel holds one
+    # constant per component, grounded here at a middle row of each
+    sizes = (5, 7)
+    paths = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil() for n in sizes]
+    for path in paths:
+        path[0, 0] = path[-1, -1] = 1.0
+    a = sp.block_diag(paths, format="csr")
+    rng = np.random.default_rng(0)
+    rhs = rng.standard_normal((12, 3))
+    rhs[:5] -= rhs[:5].mean(axis=0)
+    rhs[5:] -= rhs[5:].mean(axis=0)
+    x = grounded_solver(a, [2, 8])(rhs)
+    assert x.shape == (12, 3) and not x[[2, 8]].any()
+    assert np.abs(a @ x - rhs).max() < 1e-12
+
+
 def test_merged_eigenpairs_of_two_dirichlet_chains():
     # Each chain of the block-diagonal pencil is an invariant subspace.
     # The coarser chain's j-th value lies below the finer one's, so the
@@ -469,12 +487,13 @@ def test_inertia_count_raises_after_its_last_attempt(monkeypatch):
 
 def test_factorizations_come_from_the_solve_and_the_inertia_count():
     # one inertia code path: besides the shift factorization of the
-    # Lanczos solve, only inertia_count factors, for _verify_inertia and
+    # Lanczos solve and the grounded Laplacian of grounded_solver, which
+    # counts nothing, only inertia_count factors, for _verify_inertia and
     # for callers that slice a spectrum
     tree = ast.parse((SRC / "artifact" / "eigensolve.py").read_text())
     callers = sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                      and f.name != "_factor_symmetric" and _calls(f, "_factor_symmetric"))
-    assert callers == ["_solve_arpack", "inertia_count"]
+    assert callers == ["_solve_arpack", "grounded_solver", "inertia_count"]
     assert "inertia_count" in eigensolve.__all__
     for path in sorted((SRC / "artifact").glob("*.py")):
         if path.name != "eigensolve.py":

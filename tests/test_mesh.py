@@ -36,6 +36,13 @@ def test_tetrahedron_combinatorics(tetra):
     assert not tetra.boundary_vertex.any()
 
 
+def test_closed_meshes_count_their_components(tetra, torus16, square16):
+    for mesh in (tetra, torus16):
+        assert mesh.num_components == 1 and not mesh.vertex_component.any()
+        assert not mesh.vertex_component.flags.writeable
+    assert square16.num_components is None and square16.vertex_component is None
+
+
 def test_edges_are_canonical_and_sorted(tetra):
     assert (tetra.edges[:, 0] < tetra.edges[:, 1]).all()
     order = np.lexsort((tetra.edges[:, 1], tetra.edges[:, 0]))
