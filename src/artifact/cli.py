@@ -117,17 +117,24 @@ def _check_pencil_sizes(family, levels, meshes, suite, k):
 
 
 def _load_potential(path, mesh):
-    """Potential from CSV rows of (vertex index, value); absent vertices get 0."""
-    table = np.loadtxt(path, dtype=float, delimiter=",", ndmin=2)
+    """Potential from CSV rows of (vertex index, value); absent vertices get 0.
+
+    A file with no rows and an index that is not a finite integer in range
+    are refused before numpy reads or casts them, as numpy warns on both."""
+    with open(path) as f:
+        rows = [line for line in f if line.split("#", 1)[0].strip()]
+    if not rows:
+        raise ValueError(f"potential file {path} has no rows of vertex_index,value")
+    table = np.loadtxt(rows, dtype=float, delimiter=",", ndmin=2)
     if table.shape[1] != 2:
         raise ValueError("potential file must have rows of vertex_index,value")
     idx = table[:, 0]
-    if (idx != np.round(idx)).any():
-        raise ValueError("potential vertex indices must be integers")
-    idx = idx.astype(int)
+    if not np.isfinite(idx).all() or (idx != np.round(idx)).any():
+        raise ValueError("potential vertex indices must be finite integers")
     if (idx < 0).any() or (idx >= mesh.num_vertices).any():
         raise ValueError(
             f"potential vertex index out of range 0..{mesh.num_vertices - 1}")
+    idx = idx.astype(int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("duplicate vertex index in potential file")
     q = np.zeros(mesh.num_vertices)

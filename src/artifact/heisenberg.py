@@ -26,6 +26,13 @@ into one 2n-dimensional twisted (Landau) operator per t-frequency, the
 discrete form of the reduction of the sublaplacian by a Fourier
 transform in t (Folland, *Harmonic Analysis in Phase Space*, 1989;
 Thangavelu, *Harmonic Analysis on the Heisenberg Group*, 1998).
+Each such mode L_mu = S + mu^2 Q_2 + i mu K is made real by one diagonal
+gauge U = diag(i^(sum of the (x, y) node indices)): every centered
+difference has U D U^* = -i |D|, so U L_mu U^* = S' + mu^2 Q_2 + mu K'
+is read off the same pieces with |D| in place of D (the gauge freedom of
+discrete magnetic operators: Lieb and Loss, Duke Math. J. 71, 1993).
+In this gauge the mode operator on H^n is the sum over the planes of the
+n = 1 mode operator, a Kronecker sum.
 ``kohn_spectrum`` certifies the t-basis, counts the real mode operator
 of each positive frequency below a running bound (spectrum slicing:
 Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994), and
@@ -71,9 +78,10 @@ class HeisenbergGrid:
     x_1..x_n, y_1..y_n, t.  Interior node i of an axis of half-width w
     sits at h (i - (g - 3)/2) with h = 2w/(g - 1); the offsets are exact
     half-integers, so each axis is uniform and exactly antisymmetric
-    (``ax[::-1] == -ax`` bitwise), which lets reversing the x_i axes map
-    the grid and the operator's real part onto themselves bitwise, and
-    each x_i axis equals its y_i axis.
+    (``ax[::-1] == -ax`` bitwise), and each x_i axis equals its y_i axis.
+    The axis reversals and swaps of the symmetry-sector test oracle
+    (``tests/kohn_sectors.py``) need this to map the grid and the
+    assembled operator onto themselves bitwise; the t-modes do not.
     """
 
     n: int
@@ -136,21 +144,22 @@ def _kron(sizes, factors):
     return out
 
 
-def _plane_pieces(grid):
+def _plane_pieces(grid, diff=_centered):
     """Yield (S_i, X_h^2, Y_h^2, K_i) on the 2n (x, y) axes for each plane i,
-    with S_i = D_x^T D_x + D_y^T D_y and K_i = 2 X_h D_y - 2 D_x Y_h.
+    with S_i = D_x^T D_x + D_y^T D_y and K_i = 2 X_h D_y - 2 D_x Y_h, where
+    D_k = ``diff(grid, k)``.
 
     This is the only place that says which 1-D factors make up the
     operator: X_i^T X_i + Y_i^T Y_i is S_i (x) I + (Y_h^2 + X_h^2) (x)
     D_t^T D_t + K_i (x) D_t with t the fastest axis
     (``build_kohn_laplacian``), and a t-mode of D_t replaces D_t by i mu
-    (``_mode_pieces``).
+    (``_mode_pieces``, which feeds |D| in place of D).
     """
     n = grid.n
     sizes = [len(ax) for ax in grid.axes[:-1]]
     for i in range(n):
         x, y = i, n + i
-        d_x, d_y = _centered(grid, x), _centered(grid, y)
+        d_x, d_y = diff(grid, x), diff(grid, y)
         x_half, y_half = (sp.diags(grid.axes[ax] / 2.0, format="csr") for ax in (x, y))
         yield ((_kron(sizes, {x: (d_x.T @ d_x).tocsr()})
                 + _kron(sizes, {y: (d_y.T @ d_y).tocsr()})),
@@ -193,18 +202,28 @@ def _t_modes(m, h):
 
 
 def _mode_pieces(grid):
-    """S, Q_2 = X_h^2 + Y_h^2 and K of ``_plane_pieces``, summed over the
-    planes: the t-mode of frequency mu is S + mu^2 Q_2 + i mu K."""
-    s, x2, y2, k = map(sum, zip(*_plane_pieces(grid)))
+    """S', Q_2 = X_h^2 + Y_h^2 and K' of ``_plane_pieces`` fed |D| in place
+    of D, summed over the planes: the t-mode of frequency mu in the gauge
+    U = diag(i^(sum of the (x, y) node indices)) is S' + mu^2 Q_2 + mu K'.
+
+    The complex t-mode is L_mu = S + mu^2 Q_2 + i mu K with S and K read
+    off D.  Every centered difference has U D U^* = -i |D|, and U
+    commutes with the diagonal X_h, Y_h, so U S U^* = S' =
+    sum (|D_x|^2 + |D_y|^2) and U (i K) U^* = K' =
+    2 sum (X_h |D_y| - |D_x| Y_h): U L_mu U^* is real symmetric, each
+    entry that of L_mu times an exact phase +-1.
+    """
+    gauged = _plane_pieces(grid, lambda grid, ax: abs(_centered(grid, ax)))
+    s, x2, y2, k = map(sum, zip(*gauged))
     return s, x2 + y2, k
 
 
 def _mode_bound(pieces, mu):
-    """c = ||S||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K||_inf, with mu_1 the
-    largest |mu|, bounds ||S + mu^2 Q_2 + i mu K||_2 for every |mu| <= mu_1:
-    by the triangle inequality, as S and Q_2 are symmetric and K is
-    antisymmetric, so each 2-norm is a spectral radius, which no induced
-    norm undercuts."""
+    """c = ||S'||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K'||_inf, with mu_1 the
+    largest |mu|, bounds ||S' + mu^2 Q_2 + mu K'||_2 for every |mu| <= mu_1:
+    by the triangle inequality, as S', Q_2 and K' are symmetric, so each
+    2-norm is a spectral radius, which no induced norm undercuts.  The
+    gauge changes no |entry|, so c is that of S, Q_2 and K."""
     s, q2, k = (abs(op).sum(axis=1).max() for op in pieces)
     top = np.abs(mu).max()
     return float(s + top ** 2 * q2 + top * k)
@@ -214,11 +233,11 @@ def _certify_t_modes(grid, mu, vecs, pieces):
     """Check that the modes and their conjugates form an orthonormal basis
     that diagonalises D_t, to rounding, and return the Weyl slack.
 
-    With the basis defect delta = ||U^H U - I|| and the relative residual
-    rho = h_t ||D_t U - U diag(i mu, -i mu)|| of U = [V, conj V], every
+    With the basis defect delta = ||E^H E - I|| and the relative residual
+    rho = h_t ||D_t E - E diag(i mu, -i mu)|| of E = [V, conj V], every
     eigenvalue of L is within 2 c (delta + rho)/(1 - delta) of the one of
     the same rank of the direct sum of the mode operators, where
-    c = ||S||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K||_inf of the summed
+    c = ||S'||_inf + mu_1^2 ||Q_2||_inf + mu_1 ||K'||_inf of the summed
     ``pieces`` (``_mode_bound``) bounds the 2-norm of every mode operator.
     """
     m = grid.g - 2
@@ -235,37 +254,11 @@ def _certify_t_modes(grid, mu, vecs, pieces):
     return 2.0 * _mode_bound(pieces, mu) * (defect + residual) / (1.0 - defect)
 
 
-def _x_pairs(grid):
-    """The (x, y) nodes with x_1 index below m/2, and their images under
-    P_x, the reversal of every x_i axis; P_x fixes no node as m is even."""
-    n, m = grid.n, grid.g - 2
-    idx = np.arange(m ** (2 * n)).reshape((m,) * (2 * n))
-    return idx[:m // 2].ravel(), idx[(slice(None, None, -1),) * n][:m // 2].ravel()
-
-
-def _mode_operators(grid, mu, pieces):
-    """Real symmetric form of the t-mode operator
-    L_mu = S + mu^2 Q_2 + i mu K of the summed ``pieces`` (``_mode_pieces``)
-    for each mu.
-
-    P_x commutes with the real part S and anticommutes with K, so in the
-    basis (e_c + P_x e_c)/sqrt(2), i (e_c - P_x e_c)/sqrt(2) over the
-    nodes c of ``_x_pairs`` L_mu is the real symmetric matrix
-    [[S_+, -mu K_+-], [-mu K_+-^T, S_-]], of size m^(2n).  The axes are
-    exactly antisymmetric, so P_x holds bitwise and every block is read
-    off two column sets of the node rows.
-    """
+def _mode_operators(mu, pieces):
+    """The real symmetric t-mode operator S' + mu^2 Q_2 + mu K' of the
+    gauged ``pieces`` (``_mode_pieces``) for each mu, of size m^(2n)."""
     s, q2, k = pieces
-    reps, partners = _x_pairs(grid)
-
-    def blocks(op, sign):
-        rows = op.tocsr()[reps]
-        return rows[:, reps] + sign * rows[:, partners]
-
-    s, q2 = (sp.block_diag([blocks(op, 1.0), blocks(op, -1.0)], format="csr") for op in (s, q2))
-    off = blocks(k, -1.0)
-    coupling = sp.bmat([[None, -off], [-off.T, None]], format="csr")
-    return [(s + mu_j ** 2 * q2 + mu_j * coupling).tocsr() for mu_j in mu]
+    return [(s + mu_j ** 2 * q2 + mu_j * k).tocsr() for mu_j in mu]
 
 
 def kohn_spectrum(grid, k=12, seed=42):
@@ -274,20 +267,20 @@ def kohn_spectrum(grid, k=12, seed=42):
     D_t = tridiag(-1, 0, 1)/(2 h_t) on the m interior t-nodes has the
     orthonormal eigenvectors of ``_t_modes`` and their conjugates, with
     eigenvalues +-i mu_j.  In that basis L is the direct sum of the mode
-    operators L_mu (see ``_mode_operators``); L_-mu is the conjugate of
-    L_mu, with the same spectrum, and as m is even no mu_j is 0, so only
-    the m/2 modes with mu_j > 0 are visited.  The basis is certified to
-    rounding at run time (``CertificationError`` otherwise), with the
-    Weyl slack of ``_certify_t_modes``.  L itself is never assembled
-    (``build_kohn_laplacian`` is its public reference), and no vector
-    on the full grid is formed: memory is that of the m/2 mode operators
-    of size m^(2n) and their solves.
+    operators L_mu = S + mu^2 Q_2 + i mu K (``_mode_pieces``); L_-mu is
+    the conjugate of L_mu, with the same spectrum, and as m is even no
+    mu_j is 0, so only the m/2 modes with mu_j > 0 are visited.  The
+    basis is certified to rounding at run time (``CertificationError``
+    otherwise), with the Weyl slack of ``_certify_t_modes``.  L itself
+    is never assembled (``build_kohn_laplacian`` is its public
+    reference), and no vector on the full grid is formed: memory is that
+    of the m/2 mode operators of size m^(2n) and their solves.
 
-    Each mode is handled in its real symmetric form of size m^(2n), in
-    ascending mu.  A pair (a, b) of a mode solve stands for two
+    Each mode is handled in its real symmetric gauge U L_mu U^* of size
+    m^(2n) (``_mode_operators``), in ascending mu.  A pair w of a mode
+    solve, a real unit vector on the (x, y) grid, stands for two
     orthonormal real eigenvectors of L, sqrt(2) Re and sqrt(2) Im of
-    z (x) v, t the fastest axis, with v the t-mode and z = a + i b on
-    the nodes c of ``_x_pairs`` and a - i b on their images P_x c: so
+    z (x) v, t the fastest axis, with v the t-mode and z = conj(U) w, so
     each mode passes its values twice to ``merged_selection``, with the
     mode's top, at or below every value the mode did not return.  The
     first mode is solved for ceil(k/2) pairs, with its top at the
@@ -315,7 +308,7 @@ def kohn_spectrum(grid, k=12, seed=42):
 
     ``eigenvectors`` is None.  Pair i is the Re part (``pair_imag[i]``
     false) or the Im part of the lift of column i of
-    ``meta["mode_vectors"]`` (size m^(2n)) on t-mode
+    ``meta["mode_vectors"]`` (the vector w on the (x, y) grid) on t-mode
     ``meta["pair_mode"][i]``, an index into ``meta["modes"]``; mode i
     there is column m/2 - 1 - i of ``_t_modes``.  ``residuals`` holds
     each pair's relative residual from its mode solve, shared by the Re
@@ -342,7 +335,7 @@ def kohn_spectrum(grid, k=12, seed=42):
     half = (k + 1) // 2
     values, tops, solves, modes = [], [], [], []
     shift = None
-    visits = list(zip(mu, _mode_operators(grid, mu, pieces)))[::-1]
+    visits = list(zip(mu, _mode_operators(mu, pieces)))[::-1]
     # every mode stores one CSR pattern; its band is about 2m wide at n = 1,
     # but thousands wide at n = 2, where the LDU count is the cheaper one
     band = BandLayout.of(visits[0][1]) if grid.n == 1 else None

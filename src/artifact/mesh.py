@@ -118,13 +118,6 @@ class TriangleMesh:
     def euler_characteristic(self):
         return self.num_vertices - self.num_edges + self.num_faces
 
-    @property
-    def genus(self):
-        """Genus of a closed connected mesh, g = (2 - chi) / 2."""
-        if not self.is_closed:
-            raise MeshError("genus is defined here only for closed meshes")
-        return (2 - self.euler_characteristic) // 2
-
     # -- validation ------------------------------------------------------
 
     def _validate_indices(self):
@@ -335,6 +328,15 @@ def _subdivide_on_sphere(verts, faces):
             out.reshape(-1, 3))
 
 
+def _grid_faces(corners):
+    """Two triangles (v00, v10, v11) and (v00, v11, v01) per cell of a grid
+    whose cell corners have the vertex indices ``corners``, every first
+    triangle before every second one."""
+    v00, v10, v01, v11 = corners[:-1, :-1], corners[1:, :-1], corners[:-1, 1:], corners[1:, 1:]
+    return np.concatenate([np.stack([v00, v10, v11], axis=-1).reshape(-1, 3),
+                           np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)])
+
+
 def clifford_torus(n_u, n_v):
     """Flat torus (cos u, sin u, cos v, sin v)/sqrt(2) in R^4 on an n_u x n_v grid."""
     if n_u < 8 or n_v < 8:
@@ -346,14 +348,7 @@ def clifford_torus(n_u, n_v):
         [np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)], axis=-1
     ).reshape(-1, 4) / np.sqrt(2.0)
     idx = np.arange(n_u * n_v).reshape(n_u, n_v)
-    v00 = idx
-    v10 = np.roll(idx, -1, axis=0)
-    v01 = np.roll(idx, -1, axis=1)
-    v11 = np.roll(v10, -1, axis=1)
-    tri1 = np.stack([v00, v10, v11], axis=-1).reshape(-1, 3)
-    tri2 = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
-    faces = np.concatenate([tri1, tri2])
-    return TriangleMesh(verts, faces)
+    return TriangleMesh(verts, _grid_faces(np.pad(idx, ((0, 1), (0, 1)), mode="wrap")))
 
 
 def flat_rectangle(a, b, n_x, n_y):
@@ -370,13 +365,7 @@ def flat_rectangle(a, b, n_x, n_y):
     xx, yy = np.meshgrid(x, y, indexing="ij")
     verts = np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
     idx = np.arange((n_x + 1) * (n_y + 1)).reshape(n_x + 1, n_y + 1)
-    v00 = idx[:-1, :-1]
-    v10 = idx[1:, :-1]
-    v01 = idx[:-1, 1:]
-    v11 = idx[1:, 1:]
-    tri1 = np.stack([v00, v10, v11], axis=-1).reshape(-1, 3)
-    tri2 = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
-    return TriangleMesh(verts, np.concatenate([tri1, tri2]))
+    return TriangleMesh(verts, _grid_faces(idx))
 
 
 def geodesic_cap(angle, refinement):

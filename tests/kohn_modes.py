@@ -6,7 +6,9 @@ count and no running bound.  It is the loop ``kohn_spectrum`` replaced
 by spectrum slicing, kept as the reference that the slicing skips no
 mode with a value among the k lowest.  ``lift_pairs`` rebuilds the
 full-grid eigenvectors that ``kohn_spectrum`` no longer forms, so that
-they can be re-certified on L.
+they can be re-certified on L: a mode vector w lives on the (x, y) grid
+in the real gauge of ``gauge``, and its lifts are sqrt(2) Re and
+sqrt(2) Im of conj(U) w (x) v for the t-mode v.
 """
 
 import numpy as np
@@ -15,21 +17,24 @@ from artifact import heisenberg
 from artifact.eigensolve import merged_eigenpairs, smallest_eigenpairs
 
 
+def gauge(grid):
+    """Diagonal of U = diag(i^(sum of the (x, y) node indices)), the gauge
+    in which every t-mode L_mu is the real ``heisenberg._mode_operators``
+    operator U L_mu U^*."""
+    n, m = grid.n, grid.g - 2
+    return np.array([1, 1j, -1, -1j])[sum(np.indices((m,) * (2 * n))).ravel() % 4]
+
+
 def mode_lifts(grid, vecs, v):
-    """Lifts of real mode vectors (a, b) to eigenvectors of L: the real
-    and imaginary parts of z (x) v, t the fastest axis, with z = a + i b
-    on the nodes c of ``_x_pairs`` and a - i b on their images P_x c.
-    z is sqrt(2) times the mode vector in the (x, y) basis, which makes
-    both parts unit vectors."""
-    reps, partners = heisenberg._x_pairs(grid)
-    half = len(reps)
+    """Lifts of real mode vectors w to eigenvectors of L: sqrt(2) times the
+    real and imaginary parts of z (x) v, t the fastest axis, with
+    z = conj(U) w a unit eigenvector of the complex t-mode L_mu; as
+    v^T v = 0, both parts are unit vectors."""
+    z = np.sqrt(2.0) * gauge(grid).conj()[:, None] * vecs
 
     def lift(part):
         def cols(idx):
-            a, b = vecs[:half, idx], vecs[half:, idx]
-            z = np.empty((2 * half, len(idx)), dtype=complex)
-            z[reps], z[partners] = a + 1j * b, a - 1j * b
-            return part((z[:, None, :] * v[None, :, None]).reshape(len(z) * len(v), -1))
+            return part((z[:, idx][:, None, :] * v[None, :, None]).reshape(len(z) * len(v), -1))
         return cols
 
     return lift(np.real), lift(np.imag)
@@ -54,7 +59,7 @@ def every_mode_spectrum(grid, k=12, seed=42):
     pieces = heisenberg._mode_pieces(grid)
     slack = heisenberg._certify_t_modes(grid, mu, vecs, pieces)
     parts, modes = [], []
-    for mu_j, v, op in zip(mu, vecs.T, heisenberg._mode_operators(grid, mu, pieces)):
+    for mu_j, v, op in zip(mu, vecs.T, heisenberg._mode_operators(mu, pieces)):
         res = smallest_eigenpairs(op, None, k=(k + 1) // 2, seed=seed, definite=True)
         top = float(res.eigenvalues[-1])
         parts += [(res.eigenvalues, top, lift)

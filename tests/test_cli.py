@@ -89,6 +89,14 @@ def test_spectrum_potential_csv(tmp_path):
     oob.write_text(f"{mesh.num_vertices},1.0\n")
     assert main(["spectrum", "--mesh", str(off), "--dirichlet",
                  "--q", str(oob)]) == 1
+    # refused before numpy warns (pytest turns warnings into errors): an
+    # empty file, an infinite index and one too large for an int cast
+    for name, text in (("empty", ""), ("comments", "# vertex,value\n\n"),
+                       ("inf", "1e400,1.0\n"), ("huge", "1e300,1.0\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        assert main(["spectrum", "--mesh", str(off), "--dirichlet",
+                     "--q", str(path)]) == 1
 
 
 def test_spectrum_returns_every_pair(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kohn_modes import every_mode_spectrum, lift_pairs
+from kohn_modes import every_mode_spectrum, gauge, lift_pairs
 from kohn_sectors import parity_blocks, sector_spectrum
 
 from artifact import heisenberg
@@ -471,7 +471,7 @@ def test_band_certificate_matches_ldu_and_dense_counts(g, box):
     # the dense count are 0; otherwise the count falls through to the LDU
     grid = heisenberg_grid(1, *box, g)
     mu = heisenberg._t_modes(g - 2, grid.spacings[-1])[0]
-    ops = heisenberg._mode_operators(grid, mu, heisenberg._mode_pieces(grid))
+    ops = heisenberg._mode_operators(mu, heisenberg._mode_pieces(grid))
     band = eigensolve.BandLayout.of(ops[-1])
     for op in ops:
         dim = op.shape[0]
@@ -502,7 +502,7 @@ def test_mode_operators_match_hermitian_modes():
     lap = build_kohn_laplacian(grid).toarray()
     m = grid.g - 2
     mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
-    ops = heisenberg._mode_operators(grid, mu, heisenberg._mode_pieces(grid))
+    ops = heisenberg._mode_operators(mu, heisenberg._mode_pieces(grid))
     assert len(ops) == m // 2
     for op, v in zip(ops, vecs.T):
         assert op.shape == (m * m, m * m) and (op != op.T).nnz == 0
@@ -523,7 +523,7 @@ def test_weyl_bound_covers_every_mode():
     mu, vecs = heisenberg._t_modes(grid.g - 2, grid.spacings[-1])
     pieces = heisenberg._mode_pieces(grid)
     bound = heisenberg._mode_bound(pieces, mu)
-    for op in heisenberg._mode_operators(grid, mu, pieces):
+    for op in heisenberg._mode_operators(mu, pieces):
         assert np.abs(np.linalg.eigvalsh(op.toarray())).max() <= bound
     slack = heisenberg._certify_t_modes(grid, mu, vecs, pieces)
     assert kohn_spectrum(grid, k=2).meta["weyl_slack"] == slack
@@ -611,10 +611,45 @@ def test_mode_operators_at_n2():
     mu, vecs = heisenberg._t_modes(m, grid.spacings[-1])
     pieces = heisenberg._mode_pieces(grid)
     heisenberg._certify_t_modes(grid, mu, vecs, pieces)
-    ops = heisenberg._mode_operators(grid, mu, pieces)
+    ops = heisenberg._mode_operators(mu, pieces)
     assert len(ops) == m // 2
     for op in ops:
         assert op.shape == (m ** 4, m ** 4) and (op != op.T).nnz == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mode_operators_are_the_gauged_hermitian_modes(n):
+    # U = diag(i^(sum of the (x, y) node indices)) maps each complex
+    # t-mode L_mu = S + mu^2 Q_2 + i mu K of the pieces on D onto the real
+    # mode operator, entry for entry: every entry picks up an exact phase
+    grid = heisenberg_grid(n, 1.0, 1.0, 16)
+    mu = heisenberg._t_modes(grid.g - 2, grid.spacings[-1])[0]
+    s, x2, y2, k = map(sum, zip(*heisenberg._plane_pieces(grid)))
+    u = sp.diags(gauge(grid))
+    ops = heisenberg._mode_operators(mu, heisenberg._mode_pieces(grid))
+    for mu_j, op in zip(mu, ops):
+        gauged = (u @ (s + mu_j ** 2 * (x2 + y2) + 1j * mu_j * k) @ u.conj()).tocsr()
+        assert abs(gauged.imag).max() == 0.0
+        assert abs(gauged.real - op).max() == 0.0 and gauged.nnz == op.nnz
+        assert (op != op.T).nnz == 0
+
+
+def test_n2_mode_operators_are_kronecker_sums():
+    # in the gauge the n = 2 mode operator on (x_1, x_2, y_1, y_2) is the
+    # Kronecker sum A (x) I + I (x) A of the n = 1 operator A on (x_1, y_1),
+    # with the axes permuted, to rounding of the summation order
+    one, two = heisenberg_grid(1, 1.0, 1.0, 16), heisenberg_grid(2, 1.0, 1.0, 16)
+    m = one.g - 2
+    mu = heisenberg._t_modes(m, one.spacings[-1])[0]
+    eye = sp.identity(m * m, format="csr")
+    # row r of the n = 2 operator is node (x_1, x_2, y_1, y_2), which is
+    # node (x_1, y_1, x_2, y_2) of the Kronecker sum
+    perm = np.arange(m ** 4).reshape((m,) * 4).transpose(0, 2, 1, 3).ravel()
+    pairs = zip(heisenberg._mode_operators(mu, heisenberg._mode_pieces(one)),
+                heisenberg._mode_operators(mu, heisenberg._mode_pieces(two)))
+    for a, op in pairs:
+        kron_sum = (sp.kron(a, eye) + sp.kron(eye, a)).tocsr()[perm][:, perm]
+        assert abs(kron_sum - op).max() <= 1e-15 * abs(op).max()
 
 
 def test_audit_kohn_records():

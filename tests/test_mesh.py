@@ -31,7 +31,6 @@ def test_tetrahedron_combinatorics(tetra):
     assert tetra.num_edges == 6
     assert tetra.num_faces == 4
     assert tetra.euler_characteristic == 2
-    assert tetra.genus == 0
     assert tetra.is_closed
     assert not tetra.boundary_vertex.any()
 
@@ -63,7 +62,7 @@ def test_icosphere_counts(refinement):
     assert mesh.num_vertices == 10 * 4 ** refinement + 2
     assert mesh.num_edges == 30 * 4 ** refinement
     assert mesh.num_faces == 20 * 4 ** refinement
-    assert mesh.genus == 0
+    assert mesh.euler_characteristic == 2
 
 
 def test_icosphere_vertices_on_sphere():
@@ -84,7 +83,6 @@ def test_clifford_torus_shape():
     assert mesh.num_edges == 3 * 16 * 12
     assert mesh.num_faces == 2 * 16 * 12
     assert mesh.euler_characteristic == 0
-    assert mesh.genus == 1
     assert mesh.is_closed
     # both circle factors have radius 1/sqrt(2)
     assert np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0).max() < 1e-12
